@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz-smoke bench-serve bench-shard bench-durable bench-ivm bench-follower bench-exec docs-check
+.PHONY: check build vet test race fuzz-smoke bench-smoke bench-compare bench-serve bench-shard bench-durable bench-ivm bench-follower bench-exec docs-check
 
 # check is the full CI pipeline: compile, vet, race-enabled tests, a short
 # fuzz smoke of the parser and canonicalizer, and the documentation gate.
@@ -37,6 +37,24 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzResiduePlan -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaPlan -fuzztime=10s ./internal/ivm
 	$(GO) test -run=^$$ -fuzz=FuzzBatchExec -fuzztime=10s ./internal/exec
+
+# bench-smoke runs the repo's benchmark (benchmark/README.md) for a fiftieth
+# of its measuring time: all seven workloads, every answer checked against
+# the oracle, the op-stream and oracle digests checked against their pins,
+# and the serving-path assertions (engine-hot mostly materialized,
+# engine-wide still admitting). ~15 s; its timings mean nothing.
+bench-smoke:
+	$(GO) run ./benchmark -smoke
+
+# bench-compare runs the full suite (both passes of all seven workloads,
+# ~4 min), writes its artifact to OUT and diffs it against the PR 11
+# baseline: non-zero exit when a pinned end-to-end metric regressed beyond
+# its BENCHMARK.json bound. A PR that claims a gain commits its artifact:
+# make bench-compare OUT=docs/bench/BENCH_<pr>.json.
+OUT ?= benchmark/out/BENCH.json
+bench-compare:
+	$(GO) run ./benchmark -json $(OUT)
+	$(GO) run ./benchmark -compare benchmark/results/BENCH_11.json $(OUT)
 
 # bench-exec prints the executor's per-operator micro-benchmarks: the
 # batched columnar evaluator against the preserved tuple-at-a-time one on

@@ -70,9 +70,10 @@ type Engine struct {
 	views atomic.Pointer[ivm.Manager]
 	// ivmMu fences materialization against tuple writes: every write that
 	// might feed a view holds it shared across [store apply + delta
-	// dispatch], and building a new view holds it exclusively across
-	// [store scan + registration], so a view can neither miss a delta nor
-	// double-count one. Lock order: ivmMu → ckmu → wstripes → db.
+	// dispatch], and a new view holds it exclusively across [seeding read +
+	// registration] — its compilation runs before, unfenced — so a view can
+	// neither miss a delta nor double-count one. Lock order: ivmMu → ckmu →
+	// wstripes → db.
 	ivmMu sync.RWMutex
 
 	// wal, when non-nil, makes the engine durable (see OpenDurable): every

@@ -54,13 +54,20 @@ func (e *Engine) PurgeMaterializations() {
 }
 
 // materialize builds and admits a view for a fingerprint that passed the
-// admission check, under the exclusive materialization fence: with every
-// writer excluded from [store apply + delta dispatch], the initial scan
-// and the registration are one atomic step of the delta stream, so the
-// view misses no write and double-counts none. Called with e.mu held
-// shared; seed is the just-executed answer whose column labels the
-// published snapshots adopt.
+// admission check. Compiling the view (pushdown, validation, operator tree)
+// reads no data and runs unfenced; only seeding it from the store and
+// registering it hold the materialization fence exclusively: with every
+// writer excluded from [store apply + delta dispatch], the initial read and
+// the registration are one atomic step of the delta stream, so the view
+// misses no write and double-counts none. Called with e.mu held shared;
+// seed is the just-executed answer whose column labels the published
+// snapshots adopt.
 func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *exec.Table) {
+	v, err := ivm.Build(c.norm, e.schema, seed.Cols, mgr.Config().MaxViewRows)
+	if err != nil {
+		mgr.Deny(key)
+		return
+	}
 	e.ivmMu.Lock()
 	defer e.ivmMu.Unlock()
 	if e.views.Load() != mgr {
@@ -70,12 +77,8 @@ func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *ex
 	if mgr.Has(key) || mgr.Denied(key) {
 		return
 	}
-	v, err := ivm.Materialize(c.norm, e.schema, e.db, seed.Cols, mgr.Config().MaxViewRows)
-	if err != nil {
-		mgr.Deny(key)
-		return
-	}
-	mgr.Admit(key, v, c)
+	// A failed seeding is recorded as a denial by Install itself.
+	_ = mgr.Install(key, v, e.db, c)
 }
 
 // trackedWrite is the non-durable write path of an IVM-enabled engine:

@@ -100,6 +100,40 @@ func TestIVMFastPath(t *testing.T) {
 	}
 }
 
+// TestIVMBoundedAdmission: an engine admitting a covered fan-out over a
+// real access schema seeds the view through the covering index — at most N
+// tuples read, none scanned — and reports how long the fence was held.
+func TestIVMBoundedAdmission(t *testing.T) {
+	d := workload.Airca()
+	db, err := d.Gen(0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(d.Schema, d.Access, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetIVMConfig(aggressiveIVM())
+	q, err := eng.Parse(`q(airline) :- ontime(f, 42, d, airline, m, delay)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Report
+	for i := 0; i < 3; i++ {
+		if _, last, err = eng.Execute(q, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !last.Materialized {
+		t.Fatal("the hot query was never materialized")
+	}
+	st := eng.IVMStats()
+	// ontime(origin → airline, 28) covers the only leaf.
+	if st.SeedFetched < 1 || st.SeedFetched > 28 || st.SeedScanned != 0 || st.BuildNanos <= 0 {
+		t.Fatalf("admission was not bounded by the access schema: %+v", st)
+	}
+}
+
 // TestIVMReadYourWrites: writes through the engine must be visible in the
 // very next materialized serve — the delta path, not a purge, keeps the
 // answer current.

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,33 +60,33 @@ func deltaHarness() *deltaHarnessT {
 	return &deltaH
 }
 
-// FuzzDeltaPlan is the delta-oracle fuzzer: a generator query is
-// materialized, a random tuple-op stream (deletes and reinserts of
-// sampled rows plus mutated near-misses) is folded through the delta
-// rules, and after every applied op the maintained answer must equal a
-// fresh re-execution of the query over the mutated database. The fuzzer
-// drives the generator's parameter space and the op stream's seed, so
-// every input is well-formed and the delta rules absorb the whole budget.
-func FuzzDeltaPlan(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(1), uint8(0), uint8(10))
-	f.Add(int64(2), uint8(4), uint8(2), uint8(1), uint8(16))
-	f.Add(int64(3), uint8(1), uint8(0), uint8(1), uint8(8))
-	f.Add(int64(4), uint8(6), uint8(2), uint8(0), uint8(12))
-	f.Fuzz(func(t *testing.T, seed int64, sel, join, unidiff, nops uint8) {
-		h := deltaHarness()
-		if h.err != nil {
-			t.Fatalf("harness: %v", h.err)
-		}
+// deltaPlanCase is one delta-oracle run: a generator query is materialized,
+// a random tuple-op stream (deletes and reinserts of sampled rows plus
+// mutated near-misses) is folded through the delta rules, and after every
+// applied op the maintained answer must equal a fresh re-execution of the
+// query over the mutated database. It runs twice, over an instance with the
+// access schema's indices (leaves seeded by bucket fetch where they bound
+// the leaf) and over the same instance without them (every leaf seeded by
+// the fused scan), so both seeding rules feed the same delta rules.
+func deltaPlanCase(t *testing.T, seed int64, sel, join, unidiff, nops int) {
+	h := deltaHarness()
+	if h.err != nil {
+		t.Fatalf("harness: %v", h.err)
+	}
+	for _, indexed := range []bool{true, false} {
 		// Every run mutates its own copy of the instance.
 		db, err := h.d.Gen(0.02, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !indexed {
+			db.DropIndexes()
+		}
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.DefaultQueryParams()
-		p.Sel = int(sel) % 7
-		p.Join = int(join) % 3
-		p.UniDiff = int(unidiff) % 2
+		p.Sel = sel % 7
+		p.Join = join % 3
+		p.UniDiff = unidiff % 2
 		q, err := h.d.RandomQuery(p, rng)
 		if err != nil {
 			t.Skip()
@@ -97,7 +98,18 @@ func FuzzDeltaPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("materialize failed on a generator query %q: %v", q.String(), err)
 		}
-		for i := 0; i < 3+int(nops)%24; i++ {
+		if !indexed && v.seedFetched != 0 {
+			t.Fatalf("seeding %q fetched %d tuples from a database without indices", q.String(), v.seedFetched)
+		}
+		want, _, err := exec.RunBaseline(q, h.d.Schema, db)
+		if err != nil {
+			t.Fatalf("baseline: %v", err)
+		}
+		if !v.Published().Equal(want) {
+			t.Fatalf("seeded answer (indexed=%t) differs from re-execution on %q:\nview %d rows, want %d rows",
+				indexed, q.String(), v.Published().Len(), want.Len())
+		}
+		for i := 0; i < nops; i++ {
 			rel := h.rels[rng.Intn(len(h.rels))]
 			rows := h.samples[rel]
 			tu := rows[rng.Intn(len(rows))]
@@ -133,65 +145,33 @@ func FuzzDeltaPlan(f *testing.F) {
 				t.Fatalf("op %d: baseline: %v", i, err)
 			}
 			if !v.Published().Equal(want) {
-				t.Fatalf("delta-maintained answer diverged from re-execution on %q after op %d (%+v):\nview %d rows, want %d rows",
-					q.String(), i, op, v.Published().Len(), want.Len())
+				t.Fatalf("delta-maintained answer (indexed=%t) diverged from re-execution on %q after op %d (%+v):\nview %d rows, want %d rows",
+					indexed, q.String(), i, op, v.Published().Len(), want.Len())
 			}
 		}
+	}
+}
+
+// FuzzDeltaPlan is the delta-oracle fuzzer. It drives the generator's
+// parameter space and the op stream's seed, so every input is well-formed
+// and the seeding and delta rules absorb the whole budget.
+func FuzzDeltaPlan(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(1), uint8(0), uint8(10))
+	f.Add(int64(2), uint8(4), uint8(2), uint8(1), uint8(16))
+	f.Add(int64(3), uint8(1), uint8(0), uint8(1), uint8(8))
+	f.Add(int64(4), uint8(6), uint8(2), uint8(0), uint8(12))
+	f.Fuzz(func(t *testing.T, seed int64, sel, join, unidiff, nops uint8) {
+		deltaPlanCase(t, seed, int(sel), int(join), int(unidiff), 3+int(nops)%24)
 	})
 }
 
-// TestDeltaPlanSeeds replays the fuzz seed corpus as a plain test, so the
-// delta-oracle property is exercised on every `go test` run (the fuzzer
-// itself only runs in the dedicated smoke job).
+// TestDeltaPlanSeeds replays a fixed sweep of the fuzzer's input space as a
+// plain test, so the delta-oracle property is exercised on every `go test`
+// run (the fuzzer itself only runs in the dedicated smoke job).
 func TestDeltaPlanSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
-		h := deltaHarness()
-		if h.err != nil {
-			t.Fatalf("harness: %v", h.err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		db, err := h.d.Gen(0.02, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := workload.DefaultQueryParams()
-		p.Sel = int(seed) % 7
-		p.Join = int(seed) % 3
-		p.UniDiff = int(seed) % 2
-		q, err := h.d.RandomQuery(p, rng)
-		if err != nil {
-			continue
-		}
-		v, err := Materialize(q, h.d.Schema, db, nil, 1<<18)
-		if errors.Is(err, ErrViewTooLarge) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("seed %d: materialize %q: %v", seed, q.String(), err)
-		}
-		for i := 0; i < 10; i++ {
-			rel := h.rels[rng.Intn(len(h.rels))]
-			rows := h.samples[rel]
-			op := store.TupleOp{Rel: rel, T: rows[rng.Intn(len(rows))], Del: rng.Intn(2) == 0}
-			var changed bool
-			if op.Del {
-				changed, err = db.Delete(op.Rel, op.T)
-			} else {
-				changed, err = db.Insert(op.Rel, op.T)
-			}
-			if err != nil || !changed {
-				continue
-			}
-			if err := v.Apply(op); err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, i, err)
-			}
-			want, _, err := exec.RunBaseline(q, h.d.Schema, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !v.Published().Equal(want) {
-				t.Fatalf("seed %d: diverged on %q after op %d", seed, q.String(), i)
-			}
-		}
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			deltaPlanCase(t, seed, int(seed), int(seed), int(seed), 10)
+		})
 	}
 }

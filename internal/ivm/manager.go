@@ -3,6 +3,7 @@ package ivm
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/store"
@@ -54,6 +55,12 @@ type Stats struct {
 	// materialization attempts rejected at build time (too large, or an
 	// unsupported shape).
 	Fallbacks, Denied int64
+	// SeedFetched / SeedScanned count the tuples view construction read
+	// through index buckets (bounded by the access constraints) and through
+	// relation scans (bounded only by the relation); BuildNanos is the total
+	// time constructions held the materialization fence, i.e. stalled
+	// writers.
+	SeedFetched, SeedScanned, BuildNanos int64
 }
 
 // Merge returns the element-wise sum of two snapshots, for cluster-wide
@@ -68,6 +75,9 @@ func (s Stats) Merge(o Stats) Stats {
 	s.DeltaApplies += o.DeltaApplies
 	s.Fallbacks += o.Fallbacks
 	s.Denied += o.Denied
+	s.SeedFetched += o.SeedFetched
+	s.SeedScanned += o.SeedScanned
+	s.BuildNanos += o.BuildNanos
 	return s
 }
 
@@ -99,23 +109,29 @@ type Manager struct {
 	cfg   Config
 	clock atomic.Int64
 
-	hits, admitted, evicted, purged atomic.Int64
-	deltaApplies, fallbacks, denied atomic.Int64
+	hits, admitted, evicted, purged      atomic.Int64
+	deltaApplies, fallbacks, denied      atomic.Int64
+	seedFetched, seedScanned, buildNanos atomic.Int64
 
 	mu    sync.RWMutex
 	views map[string]*entry
-	byRel map[string]map[*entry]bool
 	deny  map[string]bool
+	// byRel routes writes: base relation → the views that depend on it. The
+	// map and its slices are immutable once published and replaced wholesale
+	// (under mu) whenever the view set changes, so the write path reads the
+	// route with one pointer load, no lock and no allocation.
+	byRel atomic.Pointer[map[string][]*entry]
 }
 
 // NewManager creates an empty manager with the given policy.
 func NewManager(cfg Config) *Manager {
-	return &Manager{
+	m := &Manager{
 		cfg:   cfg,
 		views: map[string]*entry{},
-		byRel: map[string]map[*entry]bool{},
 		deny:  map[string]bool{},
 	}
+	m.byRel.Store(&map[string][]*entry{})
+	return m
 }
 
 // Config returns the admission policy the manager was built with.
@@ -131,9 +147,7 @@ func (m *Manager) Len() int {
 // Tracks reports whether any live view depends on base relation rel —
 // the fast pre-check on the write path.
 func (m *Manager) Tracks(rel string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.byRel[rel]) > 0
+	return len((*m.byRel.Load())[rel]) > 0
 }
 
 // Serve returns the published answer of the view under key, the opaque
@@ -213,13 +227,55 @@ func (m *Manager) Admit(key string, v *View, info any) {
 	e := &entry{key: key, view: v, info: info}
 	e.last.Store(m.clock.Add(1))
 	m.views[key] = e
-	for _, rel := range v.BaseRels() {
-		if m.byRel[rel] == nil {
-			m.byRel[rel] = map[*entry]bool{}
-		}
-		m.byRel[rel][e] = true
-	}
+	m.rerouteLocked(e, true)
 	m.admitted.Add(1)
+}
+
+// Install seeds the built view v from db and admits it under key, or
+// records the denial when seeding fails (too large). It is the part of a
+// materialization that must run with writers excluded — the caller holds
+// the engine's fence exclusively around it — and it accounts what that
+// exclusion cost: tuples read, and time held.
+func (m *Manager) Install(key string, v *View, db *store.DB, info any) error {
+	start := time.Now()
+	err := v.Seed(db)
+	if err != nil {
+		m.Deny(key)
+	} else {
+		m.Admit(key, v, info)
+	}
+	m.seedFetched.Add(v.seedFetched)
+	m.seedScanned.Add(v.seedScanned)
+	m.buildNanos.Add(int64(time.Since(start)))
+	return err
+}
+
+// rerouteLocked publishes a new write route with e added to, or removed
+// from, the relations its view depends on. Called with m.mu held
+// exclusively.
+func (m *Manager) rerouteLocked(e *entry, add bool) {
+	old := *m.byRel.Load()
+	next := make(map[string][]*entry, len(old)+1)
+	for rel, es := range old {
+		next[rel] = es
+	}
+	for _, rel := range e.view.BaseRels() {
+		es := make([]*entry, 0, len(old[rel])+1)
+		for _, o := range old[rel] {
+			if o != e {
+				es = append(es, o)
+			}
+		}
+		if add {
+			es = append(es, e)
+		}
+		if len(es) == 0 {
+			delete(next, rel)
+		} else {
+			next[rel] = es
+		}
+	}
+	m.byRel.Store(&next)
 }
 
 // evictLocked removes the lowest-benefit view: minimum serve count, least
@@ -243,17 +299,10 @@ func (m *Manager) evictLocked() {
 	m.evicted.Add(1)
 }
 
-// removeLocked unregisters an entry from the key and relation maps.
+// removeLocked unregisters an entry from the key map and the write route.
 func (m *Manager) removeLocked(e *entry) {
 	delete(m.views, e.key)
-	for _, rel := range e.view.BaseRels() {
-		if set := m.byRel[rel]; set != nil {
-			delete(set, e)
-			if len(set) == 0 {
-				delete(m.byRel, rel)
-			}
-		}
-	}
+	m.rerouteLocked(e, false)
 }
 
 // OnWrite folds already-applied store writes into every view that depends
@@ -263,14 +312,7 @@ func (m *Manager) removeLocked(e *entry) {
 func (m *Manager) OnWrite(ops []store.TupleOp) {
 	var dead []*entry
 	for _, op := range ops {
-		m.mu.RLock()
-		set := m.byRel[op.Rel]
-		es := make([]*entry, 0, len(set))
-		for e := range set {
-			es = append(es, e)
-		}
-		m.mu.RUnlock()
-		for _, e := range es {
+		for _, e := range (*m.byRel.Load())[op.Rel] {
 			if err := e.view.Apply(op); err != nil {
 				dead = append(dead, e)
 				continue
@@ -298,7 +340,7 @@ func (m *Manager) PurgeAll() {
 	defer m.mu.Unlock()
 	m.purged.Add(int64(len(m.views)))
 	m.views = map[string]*entry{}
-	m.byRel = map[string]map[*entry]bool{}
+	m.byRel.Store(&map[string][]*entry{})
 	m.deny = map[string]bool{}
 }
 
@@ -317,5 +359,8 @@ func (m *Manager) Stats() Stats {
 		DeltaApplies: m.deltaApplies.Load(),
 		Fallbacks:    m.fallbacks.Load(),
 		Denied:       m.denied.Load(),
+		SeedFetched:  m.seedFetched.Load(),
+		SeedScanned:  m.seedScanned.Load(),
+		BuildNanos:   m.buildNanos.Load(),
 	}
 }

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -205,5 +206,121 @@ func TestManagerTracks(t *testing.T) {
 	m.PurgeAll()
 	if m.Tracks("r") {
 		t.Fatal("still tracking after purge")
+	}
+}
+
+// TestManagerInstall covers the fenced half of a materialization: Install
+// seeds and admits a built view, accounts the tuples it read and the time
+// it took, and turns a view too large to seed into a denial.
+func TestManagerInstall(t *testing.T) {
+	s := ra.Schema{"r": {"a", "b"}}
+	db := store.NewDB(s)
+	for i := int64(0); i < 5; i++ {
+		if _, err := db.Insert("r", value.Tuple{value.NewInt(i), value.NewInt(i % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	norm, err := ra.Normalize(ra.Proj(ra.R("r", "r1"), ra.A("r1", "b")), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Budget: 4, MinHits: 1, MinScore: 0})
+	v, err := Build(norm, s, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Install("ok", v, db, "info"); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, info, ok := m.Serve("ok"); !ok || info != "info" || tbl.Len() != 2 {
+		t.Fatalf("installed view serves %v, %v, %t", tbl, info, ok)
+	}
+	small, err := Build(norm, s, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Install("big", small, db, nil); !errors.Is(err, ErrViewTooLarge) {
+		t.Fatalf("Install over the row cap = %v, want ErrViewTooLarge", err)
+	}
+	if m.Has("big") || !m.Denied("big") {
+		t.Fatal("a failed seeding must be denied, not admitted")
+	}
+	st := m.Stats()
+	// The first seeding scanned all 5 rows; the second stopped at the cap.
+	if st.Admitted != 1 || st.Denied != 1 || st.SeedFetched != 0 || st.SeedScanned < 5 || st.BuildNanos <= 0 {
+		t.Fatalf("stats after one install and one denial: %+v", st)
+	}
+	sum := st.Merge(st)
+	if sum.SeedScanned != 2*st.SeedScanned || sum.SeedFetched != 2*st.SeedFetched || sum.BuildNanos != 2*st.BuildNanos {
+		t.Fatalf("Merge dropped a seeding counter: %+v", sum)
+	}
+}
+
+// TestManagerWriteRoute checks the copy-on-write route OnWrite reads: it
+// follows admission, eviction and fallback, and looking it up for a write
+// allocates nothing.
+func TestManagerWriteRoute(t *testing.T) {
+	m := NewManager(Config{Budget: 2, MinHits: 1, MinScore: 0})
+	for i := 0; i < 5; i++ { // three of the five are evicted again
+		m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil)
+	}
+	if got := len((*m.byRel.Load())["r"]); got != 2 {
+		t.Fatalf("route for r lists %d views, want the 2 live ones", got)
+	}
+	before := m.Stats().DeltaApplies
+	m.OnWrite([]store.TupleOp{{Rel: "r", T: value.Tuple{value.NewInt(7)}}})
+	if got := m.Stats().DeltaApplies - before; got != 2 {
+		t.Fatalf("one write reached %d views, want 2", got)
+	}
+	untracked := []store.TupleOp{{Rel: "s", T: value.Tuple{value.NewInt(7)}}}
+	if a := testing.AllocsPerRun(100, func() {
+		if m.Tracks("s") {
+			t.Fatal("s is tracked")
+		}
+		m.OnWrite(untracked)
+	}); a != 0 {
+		t.Fatalf("routing a write no view reads allocates %.0f times", a)
+	}
+}
+
+// BenchmarkManagerOnWrite prices the write path's dispatch (run with
+// -benchmem): "untracked" is a write no view depends on — the route lookup
+// alone, which must not allocate — and "tracked" a write that 64 live views
+// each fold in, where every allocation left belongs to the delta rules.
+func BenchmarkManagerOnWrite(b *testing.B) {
+	s := ra.Schema{"r": {"a", "b"}, "s": {"a"}}
+	db := store.NewDB(s)
+	m := NewManager(Config{Budget: 64, MinHits: 1, MinScore: 0})
+	for i := 0; i < 64; i++ {
+		q := ra.Proj(ra.Sel(ra.R("r", "r1"), ra.EqC(ra.A("r1", "b"), value.NewInt(int64(i)))), ra.A("r1", "a"))
+		norm, err := ra.Normalize(q, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v, err := Build(norm, s, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Install(fmt.Sprint(i), v, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		ops  []store.TupleOp
+	}{
+		{"untracked", []store.TupleOp{{Rel: "s", T: value.Tuple{value.NewInt(1)}}}},
+		// Insert then delete, so the views end every iteration unchanged.
+		{"tracked", []store.TupleOp{
+			{Rel: "r", T: value.Tuple{value.NewInt(1), value.NewInt(3)}},
+			{Rel: "r", T: value.Tuple{value.NewInt(1), value.NewInt(3)}, Del: true},
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m.OnWrite(bc.ops)
+			}
+		})
 	}
 }

@@ -69,6 +69,9 @@ type node struct {
 	// partial key is sound.
 	jkey []int
 	jidx map[string]map[string]*crow
+	// scan is set on the top node of a leaf pattern π(σ(R)): the whole
+	// pattern is seeded by one bounded read of R instead of bottom-up.
+	scan *leafScan
 }
 
 // buildIndex (re)builds the join-key index over the node's counted table.
@@ -116,6 +119,9 @@ type View struct {
 	maxRows int
 	nrows   int
 	cols    []string
+	// seedFetched / seedScanned count the tuples Seed read through index
+	// buckets and through relation scans.
+	seedFetched, seedScanned int64
 	// published is the last consistent answer snapshot. It is read-only by
 	// contract: Serve hands it to callers without copying. dirty means root
 	// membership changed since it was built; Published refreshes it then.
@@ -123,15 +129,15 @@ type View struct {
 	dirty     atomic.Bool
 }
 
-// Materialize builds a view for the normalized query norm over the current
-// contents of db. cols labels the published answer columns (the executed
-// result's labels, so a materialized hit is indistinguishable from a plan
-// execution); maxRows caps the total counted rows (<= 0 = unlimited). The
-// caller must exclude concurrent writes to db for the duration — the
-// engine holds its materialization lock exclusively — or the initial scan
-// would race the delta stream.
-func Materialize(norm ra.Query, s ra.Schema, db *store.DB, cols []string, maxRows int) (*View, error) {
-	q := pushdown(ra.Clone(norm), s)
+// Build compiles the normalized query norm into an unseeded view: selection
+// and projection pushdown, validation and the operator tree with its scopes,
+// join keys and leaf scans. It reads no data, so it needs no exclusion
+// against writers; the view serves nothing until Seed ran. cols labels the
+// published answer columns (the executed result's labels, so a materialized
+// hit is indistinguishable from a plan execution); maxRows caps the total
+// counted rows (<= 0 = unlimited).
+func Build(norm ra.Query, s ra.Schema, cols []string, maxRows int) (*View, error) {
+	q := prune(pushdown(ra.Clone(norm), s), nil, s)
 	if err := ra.Validate(q, s); err != nil {
 		// A pushdown bug must surface as a fallback, never a wrong answer.
 		return nil, fmt.Errorf("ivm: pushdown broke the query: %w", err)
@@ -143,12 +149,11 @@ func Materialize(norm ra.Query, s ra.Schema, db *store.DB, cols []string, maxRow
 	}
 	v.root = root
 	setJoinKeys(root)
-	seen := map[string]bool{}
+	if err := setScans(root, s); err != nil {
+		return nil, err
+	}
 	for rel := range v.leaves {
-		if !seen[rel] {
-			seen[rel] = true
-			v.rels = append(v.rels, rel)
-		}
+		v.rels = append(v.rels, rel)
 	}
 	if len(cols) == len(root.attrs) {
 		v.cols = cols
@@ -158,11 +163,22 @@ func Materialize(norm ra.Query, s ra.Schema, db *store.DB, cols []string, maxRow
 			v.cols[i] = a.String()
 		}
 	}
-	if _, err := v.eval(root, db); err != nil {
-		return nil, err
+	return v, nil
+}
+
+// Seed fills the counted tables of a built view from the current contents
+// of db and publishes the first answer. Every leaf is read once, through an
+// index bucket where the access schema bounds it and by a filtered scan
+// otherwise. The caller must exclude concurrent writes to db from the start
+// of Seed until the view is registered for deltas — the engine holds its
+// materialization lock exclusively — or the initial read would race the
+// delta stream. A view whose Seed failed must be discarded.
+func (v *View) Seed(db *store.DB) error {
+	if _, err := v.eval(v.root, db); err != nil {
+		return err
 	}
 	v.publishLocked()
-	return v, nil
+	return nil
 }
 
 // BaseRels returns the distinct base relations the view depends on.
@@ -274,21 +290,44 @@ func (n *node) needsRows() bool {
 	return false
 }
 
-// eval computes the counted table of n bottom-up from the store, retaining
-// it on nodes that need it and charging every retained or transient table
-// against the row cap.
+// eval computes the counted table of n — a leaf pattern by one bounded read
+// of the store, an operator above the leaves from its children's tables —
+// retaining it on nodes that need it and charging every retained or
+// transient table against the row cap.
 func (v *View) eval(n *node, db *store.DB) (map[string]*crow, error) {
+	var (
+		m   map[string]*crow
+		err error
+	)
+	if n.scan != nil {
+		m, err = v.seedLeaf(n.scan, db)
+	} else {
+		m, err = v.evalOp(n, db)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if v.maxRows > 0 && len(m) > v.maxRows {
+		return nil, ErrViewTooLarge
+	}
+	if n.needsRows() {
+		n.rows = m
+		if n.jkey != nil {
+			n.buildIndex()
+		}
+		v.nrows += len(m)
+		if v.maxRows > 0 && v.nrows > v.maxRows {
+			return nil, ErrViewTooLarge
+		}
+	}
+	return m, nil
+}
+
+// evalOp computes the counted table of an operator node from the tables of
+// its children.
+func (v *View) evalOp(n *node, db *store.DB) (map[string]*crow, error) {
 	var m map[string]*crow
-	switch q := n.q.(type) {
-	case *ra.Relation:
-		rows, err := db.Rows(q.Base)
-		if err != nil {
-			return nil, err
-		}
-		m = make(map[string]*crow, len(rows))
-		for _, t := range rows {
-			m[t.Key()] = &crow{t: t, n: 1}
-		}
+	switch n.q.(type) {
 	case *ra.Select:
 		in, err := v.eval(n.children[0], db)
 		if err != nil {
@@ -405,19 +444,6 @@ func (v *View) eval(n *node, db *store.DB) (map[string]*crow, error) {
 	default:
 		return nil, fmt.Errorf("ivm: no delta rule for node %T", n.q)
 	}
-	if v.maxRows > 0 && len(m) > v.maxRows {
-		return nil, ErrViewTooLarge
-	}
-	if n.needsRows() {
-		n.rows = m
-		if n.jkey != nil {
-			n.buildIndex()
-		}
-		v.nrows += len(m)
-		if v.maxRows > 0 && v.nrows > v.maxRows {
-			return nil, ErrViewTooLarge
-		}
-	}
 	return m, nil
 }
 
@@ -520,6 +546,10 @@ func (v *View) transform(p *node, idx int, d []drow) ([]drow, error) {
 		}
 		return out, nil
 	case *ra.Project:
+		if len(d) == 1 {
+			// The common delta is one row, which has nothing to merge with.
+			return []drow{{t: d[0].t.Project(p.pos), n: d[0].n}}, nil
+		}
 		merged := map[string]*drow{}
 		var order []string
 		for _, dr := range d {
@@ -681,7 +711,13 @@ func pushdown(q ra.Query, s ra.Schema) ra.Query {
 func sink(q ra.Query, p ra.Pred, s ra.Schema) ra.Query {
 	switch t := q.(type) {
 	case *ra.Select:
-		return &ra.Select{In: sink(t.In, p, s), Preds: t.Preds}
+		in := sink(t.In, p, s)
+		if w, ok := in.(*ra.Select); ok && w.In == t.In {
+			// p sinks no lower than this selection: join it rather than
+			// stacking a second one, so a leaf keeps the shape σ(R).
+			return wrapSel(q, p)
+		}
+		return &ra.Select{In: in, Preds: t.Preds}
 	case *ra.Project:
 		// Projection attributes keep their names, so a predicate over the
 		// output scope is over the input scope too.
@@ -719,6 +755,94 @@ func covers(q ra.Query, p ra.Pred, s ra.Schema) bool {
 		}
 	}
 	return true
+}
+
+// prune is projection pushdown: it rewrites q to carry only the attributes
+// in need — those an ancestor's predicate, join key or output reads — so
+// every relation occurrence ends as π_need(σ_consts(R)) and the tables kept
+// for Product and Diff children hold narrow rows. need == nil asks for q's
+// exact positional scope: at the root, and below Union and Diff, whose
+// operands are matched by position. Otherwise the result's scope is some
+// superset of need, which Select, Project and Product parents all tolerate.
+// Counted (bag) semantics are preserved: π distributes over × and commutes
+// with σ on the attributes it keeps.
+func prune(q ra.Query, need map[ra.Attr]bool, s ra.Schema) ra.Query {
+	switch t := q.(type) {
+	case *ra.Relation:
+		return narrow(q, need, s)
+	case *ra.Select:
+		if _, leaf := t.In.(*ra.Relation); leaf || need == nil {
+			// Nothing to drop below. On a leaf that is by choice: the
+			// selection stays on the bare relation, where seeding can bind
+			// an index to its constants, and the columns only it reads are
+			// dropped above it.
+			return narrow(&ra.Select{In: prune(t.In, nil, s), Preds: t.Preds}, need, s)
+		}
+		below := make(map[ra.Attr]bool, len(need)+2*len(t.Preds))
+		for a := range need {
+			below[a] = true
+		}
+		for _, p := range t.Preds {
+			switch e := p.(type) {
+			case ra.EqAttr:
+				below[e.L], below[e.R] = true, true
+			case ra.EqConst:
+				below[e.A] = true
+			}
+		}
+		return narrow(&ra.Select{In: prune(t.In, below, s), Preds: t.Preds}, need, s)
+	case *ra.Project:
+		attrs := t.Attrs
+		if need != nil {
+			attrs = nil
+			for _, a := range t.Attrs {
+				if need[a] {
+					attrs = append(attrs, a)
+				}
+			}
+		}
+		below := make(map[ra.Attr]bool, len(attrs))
+		for _, a := range attrs {
+			below[a] = true
+		}
+		in := prune(t.In, below, s)
+		if p, ok := in.(*ra.Project); ok {
+			in = p.In // π∘π is the outer π
+		}
+		return &ra.Project{In: in, Attrs: attrs}
+	case *ra.Product:
+		// The operands' scopes are disjoint, so handing both the whole set
+		// hands each its own share.
+		return &ra.Product{L: prune(t.L, need, s), R: prune(t.R, need, s)}
+	case *ra.Union:
+		return &ra.Union{L: prune(t.L, nil, s), R: prune(t.R, nil, s)}
+	case *ra.Diff:
+		return &ra.Diff{L: prune(t.L, nil, s), R: prune(t.R, nil, s)}
+	default:
+		return q
+	}
+}
+
+// narrow projects q onto the attributes of its scope that are in need,
+// keeping their order; q itself when nothing would be dropped.
+func narrow(q ra.Query, need map[ra.Attr]bool, s ra.Schema) ra.Query {
+	if need == nil {
+		return q
+	}
+	attrs, err := ra.OutAttrs(q, s)
+	if err != nil {
+		return q // Validate reports it
+	}
+	keep := make([]ra.Attr, 0, len(attrs))
+	for _, a := range attrs {
+		if need[a] {
+			keep = append(keep, a)
+		}
+	}
+	if len(keep) == len(attrs) {
+		return q
+	}
+	return &ra.Project{In: q, Attrs: keep}
 }
 
 func wrapSel(q ra.Query, p ra.Pred) ra.Query {

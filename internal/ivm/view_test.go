@@ -20,6 +20,19 @@ func testSchema() ra.Schema {
 	}
 }
 
+// Materialize is Build followed by Seed: what the engine does around its
+// fence, for tests that have no concurrent writers to exclude.
+func Materialize(norm ra.Query, s ra.Schema, db *store.DB, cols []string, maxRows int) (*View, error) {
+	v, err := Build(norm, s, cols, maxRows)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.Seed(db); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 func seedDB(t *testing.T, s ra.Schema, rows map[string][]value.Tuple) *store.DB {
 	t.Helper()
 	db := store.NewDB(s)

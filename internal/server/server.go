@@ -768,6 +768,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				DeltaApplies: st.DeltaApplies,
 				Fallbacks:    st.Fallbacks,
 				Denied:       st.Denied,
+				SeedFetched:  st.SeedFetched,
+				SeedScanned:  st.SeedScanned,
+				BuildMicros:  st.BuildNanos / 1e3,
 			}
 		}
 	}

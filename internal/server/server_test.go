@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -436,6 +437,20 @@ func TestIVMStatsAndMaterializedFlag(t *testing.T) {
 	if st.IVM.Budget != 8 {
 		t.Fatalf("ivm budget: got %d, want 8", st.IVM.Budget)
 	}
+	// Seeding read the view's leaves one way or the other, and the block
+	// names what it read and how long the fence was held.
+	if st.IVM.SeedFetched+st.IVM.SeedScanned == 0 {
+		t.Fatalf("view construction not accounted: %+v", st.IVM)
+	}
+	raw, err := json.Marshal(st.IVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"seedFetched":`, `"seedScanned":`, `"buildMicros":`} {
+		if !strings.Contains(string(raw), key) {
+			t.Fatalf("ivm block lacks %s: %s", key, raw)
+		}
+	}
 }
 
 // TestConcurrentQueries hammers the server from many client goroutines
@@ -508,8 +523,12 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cache.HitRate < 0.9 {
-		t.Fatalf("want >=90%% hit rate on a 4-query replay, got %.1f%%", 100*st.Cache.HitRate)
+	// Repeats are answered from the plan cache or, once admitted, from a
+	// materialized view that never reaches the cache, so the cache's own
+	// hit rate depends on how early admission lands. What must hold on a
+	// 4-query replay is that a client compiles each query at most once.
+	if limit := int64(clients * len(queries)); st.Cache.Misses > limit {
+		t.Fatalf("%d plan-cache misses on a 4-query replay by %d clients, want at most %d", st.Cache.Misses, clients, limit)
 	}
 }
 

@@ -298,6 +298,14 @@ type IVMStatsWire struct {
 	// counts rejected materialization attempts.
 	Fallbacks int64 `json:"fallbacks,omitempty"`
 	Denied    int64 `json:"denied,omitempty"`
+	// SeedFetched / SeedScanned count the tuples view construction read
+	// through access-schema indices and through relation scans: admissions
+	// are bounded while the second stays small next to the first.
+	// BuildMicros is the total time constructions held the materialization
+	// fence — the time tuple writes were stalled behind admissions.
+	SeedFetched int64 `json:"seedFetched"`
+	SeedScanned int64 `json:"seedScanned"`
+	BuildMicros int64 `json:"buildMicros"`
 }
 
 // DurabilityWire is the write-ahead-log snapshot in GET /stats of a

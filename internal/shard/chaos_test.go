@@ -102,6 +102,17 @@ func (w *chaosWorld) check(label string) {
 	}
 }
 
+// placement runs assertPlacement under the exclusive lock, as check does:
+// with a broadcast writer live, anchor-vs-member row counts read without
+// it race the asynchronous apply lane and report copies that are merely
+// still queued.
+func (w *chaosWorld) placement(label string) {
+	w.t.Helper()
+	w.lock.Lock()
+	defer w.lock.Unlock()
+	assertPlacement(w.t, label, w.router)
+}
+
 // applyBoth applies one tuple write to router and oracle under the shared
 // lock.
 func (w *chaosWorld) applyBoth(del bool, rel string, t value.Tuple) error {

@@ -107,14 +107,14 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 		t.Errorf("rekey report %+v, want origin→dest with rows moved", rep)
 	}
 	w.check("after rekey")
-	assertPlacement(t, "after rekey", router)
+	w.placement("after rekey")
 
 	rep = move("delaycause", "", "promote delaycause")
 	if rep.From != "fid" || rep.To != "broadcast" || rep.Moved == 0 {
 		t.Errorf("promote report %+v, want fid→broadcast with rows moved", rep)
 	}
 	w.check("after promote")
-	assertPlacement(t, "after promote", router)
+	w.placement("after promote")
 
 	rep = move("delaycause", "fid", "demote delaycause")
 	if rep.From != "broadcast" || rep.To != "fid" {
@@ -124,7 +124,7 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 		t.Errorf("demote moved %d rows; a demote must copy nothing", rep.Moved)
 	}
 	w.check("after demote")
-	assertPlacement(t, "after demote", router)
+	w.placement("after demote")
 
 	// Placement moves, like tuple movement, must never bump Version.
 	if v1 := router.Version(); v1 != v0 {

@@ -8,6 +8,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -300,6 +301,29 @@ func (db *DB) Rows(rel string) ([]value.Tuple, error) {
 	return out, nil
 }
 
+// ScanFunc calls fn for every tuple of rel under one shared lock, without
+// copying the relation, until fn returns false. It returns the number of
+// tuples visited, each charged as a full-scan access. The tuples are the
+// stored ones: fn must treat them as read-only and must not call back into
+// db (a queued writer would deadlock the re-entrant read lock).
+func (db *DB) ScanFunc(rel string, fn func(t value.Tuple) bool) (int, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, err := db.rel(rel)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, t := range r.rows {
+		n++
+		if !fn(t) {
+			break
+		}
+	}
+	atomic.AddInt64(&db.counter.Scanned, int64(n))
+	return n, nil
+}
+
 // --- indices --------------------------------------------------------------
 
 // Index is the attribute-based index for one access constraint: a partial
@@ -505,6 +529,64 @@ func (db *DB) Fetch(c access.Constraint, xvals value.Tuple) ([]value.Tuple, erro
 	}
 	atomic.AddInt64(&db.counter.Fetched, int64(len(out)))
 	return out, nil
+}
+
+// CoveringIndex picks a built index on rel that answers
+// π_need(σ_{bound = constants}(rel)) from a single bucket: its X is a
+// subset of the constant-bound attributes and X ∪ Y contains every needed
+// one. Among several it prefers the tightest cardinality bound N (ties by
+// constraint key, so the choice is deterministic). ok is false when no
+// index qualifies and the caller has to scan.
+func (db *DB) CoveringIndex(rel string, bound, need []string) (c access.Constraint, ok bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for key, idx := range db.indexes {
+		if idx.Con.Rel != rel || !subset(idx.Con.X, bound) || !subset(need, idx.cols) {
+			continue
+		}
+		if !ok || idx.Con.N < c.N || (idx.Con.N == c.N && key < c.Key()) {
+			c, ok = idx.Con, true
+		}
+	}
+	return c, ok
+}
+
+func subset(xs, of []string) bool {
+	for _, x := range xs {
+		if !slices.Contains(of, x) {
+			return false
+		}
+	}
+	return true
+}
+
+// FetchCounted visits the bucket of X value xvals in the index for c: fn
+// receives every distinct XY projection (plan.IndexCols(c) layout) with its
+// reference count — the number of base tuples that project onto it, which
+// is exactly the derivation count of that row in π_XY(σ_{X=xvals}(R)) —
+// until it returns false. It returns the number of entries visited, charged
+// like Fetch (an absent key still touches the index once). The tuples are
+// the index's own: fn must treat them as read-only and must not call back
+// into db.
+func (db *DB) FetchCounted(c access.Constraint, xvals value.Tuple, fn func(t value.Tuple, n int) bool) (int, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	idx, ok := db.indexes[c.Key()]
+	if !ok {
+		return 0, fmt.Errorf("store: no index for %s", c)
+	}
+	if len(xvals) != len(c.X) {
+		return 0, fmt.Errorf("store: fetch via %s expects %d X values, got %d", c, len(c.X), len(xvals))
+	}
+	visited := 0
+	for _, rr := range idx.bucket[xvals.Key()] {
+		visited++
+		if !fn(rr.t, rr.n) {
+			break
+		}
+	}
+	atomic.AddInt64(&db.counter.Fetched, int64(max(visited, 1)))
+	return visited, nil
 }
 
 // FetchBatch performs Fetch for every X tuple in xs under one shared lock,

@@ -363,3 +363,128 @@ func TestApplyBatchReport(t *testing.T) {
 		t.Fatalf("Size = %d, want 1", db.Size())
 	}
 }
+
+// TestFetchCounted: the counted fetch hands out each distinct XY projection
+// of the bucket with the number of base tuples behind it, follows deletes,
+// charges like Fetch and stops when told to.
+func TestFetchCounted(t *testing.T) {
+	db := NewDB(testSchema())
+	c := access.Constraint{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 10}
+	if _, err := db.BuildIndex(c); err != nil {
+		t.Fatal(err)
+	}
+	// Under a=1: b=0 three times (different c), b=1 once. Under a=2: noise.
+	for _, row := range [][3]int{{1, 0, 10}, {1, 0, 11}, {1, 0, 12}, {1, 1, 10}, {2, 0, 10}} {
+		if _, err := db.Insert("r", value.Tuple{iv(row[0]), iv(row[1]), iv(row[2])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func() map[string]int {
+		got := map[string]int{}
+		n, err := db.FetchCounted(c, value.Tuple{iv(1)}, func(tu value.Tuple, n int) bool {
+			got[tu.String()] = n
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(got) {
+			t.Fatalf("visited %d entries, saw %d", n, len(got))
+		}
+		return got
+	}
+	if got := counts(); len(got) != 2 || got["(1, 0)"] != 3 || got["(1, 1)"] != 1 {
+		t.Fatalf("counts = %v, want (1, 0)×3 and (1, 1)×1", got)
+	}
+	if _, err := db.Delete("r", value.Tuple{iv(1), iv(0), iv(11)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Delete("r", value.Tuple{iv(1), iv(1), iv(10)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := counts(); len(got) != 1 || got["(1, 0)"] != 2 {
+		t.Fatalf("counts after deletes = %v, want (1, 0)×2 only", got)
+	}
+
+	db.ResetCounter()
+	if n, _ := db.FetchCounted(c, value.Tuple{iv(2)}, func(value.Tuple, int) bool { return false }); n != 1 {
+		t.Fatalf("a visit that stops at once saw %d entries", n)
+	}
+	if n, err := db.FetchCounted(c, value.Tuple{iv(42)}, func(value.Tuple, int) bool { return true }); n != 0 || err != nil {
+		t.Fatalf("absent key: %d entries, %v", n, err)
+	}
+	if got := db.Counter().Fetched; got != 2 {
+		t.Fatalf("one entry and one absent-key probe charged %d accesses", got)
+	}
+	if _, err := db.FetchCounted(c, value.Tuple{}, func(value.Tuple, int) bool { return true }); err == nil {
+		t.Error("wrong X arity accepted")
+	}
+	other := access.Constraint{Rel: "r", X: []string{"b"}, Y: []string{"c"}, N: 10}
+	if _, err := db.FetchCounted(other, value.Tuple{iv(1)}, func(value.Tuple, int) bool { return true }); err == nil {
+		t.Error("fetch without index should fail")
+	}
+}
+
+// TestScanFunc: the in-place scan visits every tuple once, charges what it
+// visited and honours an early stop.
+func TestScanFunc(t *testing.T) {
+	db := NewDB(testSchema())
+	for i := 0; i < 6; i++ {
+		if _, err := db.Insert("r", value.Tuple{iv(i), iv(i % 2), iv(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	n, err := db.ScanFunc("r", func(tu value.Tuple) bool {
+		seen[tu.Key()] = true
+		return true
+	})
+	if err != nil || n != 6 || len(seen) != 6 {
+		t.Fatalf("full scan: n=%d distinct=%d err=%v", n, len(seen), err)
+	}
+	if n, _ := db.ScanFunc("r", func(value.Tuple) bool { return false }); n != 1 {
+		t.Fatalf("stopped scan visited %d", n)
+	}
+	if got := db.Counter().Scanned; got != 7 {
+		t.Fatalf("Scanned = %d, want 7", got)
+	}
+	if _, err := db.ScanFunc("zzz", func(value.Tuple) bool { return true }); err == nil {
+		t.Error("scan of unknown relation")
+	}
+}
+
+// TestCoveringIndex: an index qualifies iff its X is constant-bound and its
+// XY holds every needed attribute; the tightest bound wins.
+func TestCoveringIndex(t *testing.T) {
+	db := NewDB(testSchema())
+	for _, c := range []access.Constraint{
+		{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 10},
+		{Rel: "r", X: []string{"a"}, Y: []string{"b", "c"}, N: 50},
+		{Rel: "r", X: []string{"a", "b"}, Y: []string{"c"}, N: 5},
+		{Rel: "r", X: nil, Y: []string{"c"}, N: 7},
+	} {
+		if _, err := db.BuildIndex(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		bound, need []string
+		want        string // constraint key, "" for none
+	}{
+		{[]string{"a"}, []string{"b"}, "r(a->b)"},
+		{[]string{"a"}, []string{"a", "b", "c"}, "r(a->b,c)"},
+		{[]string{"a", "b"}, []string{"c"}, "r(a,b->c)"},
+		{[]string{"b"}, []string{"c"}, "r(->c)"},
+		{nil, []string{"c"}, "r(->c)"},
+		{nil, []string{"a"}, ""},
+		{[]string{"c"}, []string{"a", "c"}, ""},
+	} {
+		c, ok := db.CoveringIndex("r", tc.bound, tc.need)
+		if got := c.Key(); ok != (tc.want != "") || (ok && got != tc.want) {
+			t.Errorf("bound %v need %v: got %q (%t), want %q", tc.bound, tc.need, got, ok, tc.want)
+		}
+	}
+	if _, ok := db.CoveringIndex("s", nil, nil); ok {
+		t.Error("index found on a relation that has none")
+	}
+}
