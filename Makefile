@@ -47,14 +47,16 @@ bench-smoke:
 	$(GO) run ./benchmark -smoke
 
 # bench-compare runs the full suite (both passes of all seven workloads,
-# ~4 min), writes its artifact to OUT and diffs it against the PR 11
-# baseline: non-zero exit when a pinned end-to-end metric regressed beyond
-# its BENCHMARK.json bound. A PR that claims a gain commits its artifact:
-# make bench-compare OUT=docs/bench/BENCH_<pr>.json.
+# ~4 min), writes its artifact to OUT and diffs it against BASE (the PR 11
+# baseline unless overridden): non-zero exit when a pinned end-to-end
+# metric regressed beyond its BENCHMARK.json bound. A PR commits its
+# artifact: make bench-compare OUT=docs/bench/BENCH_<pr>.json
+# BASE=docs/bench/BENCH_<parent>.json.
 OUT ?= benchmark/out/BENCH.json
+BASE ?= benchmark/results/BENCH_11.json
 bench-compare:
 	$(GO) run ./benchmark -json $(OUT)
-	$(GO) run ./benchmark -compare benchmark/results/BENCH_11.json $(OUT)
+	$(GO) run ./benchmark -compare $(BASE) $(OUT)
 
 # bench-exec prints the executor's per-operator micro-benchmarks: the
 # batched columnar evaluator against the preserved tuple-at-a-time one on

@@ -237,8 +237,8 @@ func (r *ServeResult) Format(w io.Writer) {
 		}
 	}
 	if r.Shards > 0 {
-		fmt.Fprintf(w, "shards\t%d (routed: %d single-shard, %d double-routed, %d scatter, %d residue)\n",
-			r.Shards, r.Routes.Single, r.Routes.Double, r.Routes.Scattered, r.Routes.Residue)
+		fmt.Fprintf(w, "shards\t%d (routed: %d single-shard, %d scatter, %d residue)\n",
+			r.Shards, r.Routes.Single, r.Routes.Scattered, r.Routes.Residue)
 	}
 	if r.ResidueOps > 0 {
 		fmt.Fprintf(w, "residue\t%d ops at %.0f queries/s (%d semi-joins, %d shuffles, %d bytes shipped, %d broadcast rels)\n",

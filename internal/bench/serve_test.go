@@ -309,7 +309,7 @@ func TestServeWriteMixSharded(t *testing.T) {
 		t.Fatal("WriteMix 0.4 produced no client write ops")
 	}
 	queries := int64(res.Ops) - res.WriteOps
-	if got := res.Routes.Single + res.Routes.Double + res.Routes.Scattered + res.Routes.Residue; got != queries {
+	if got := res.Routes.Single + res.Routes.Scattered + res.Routes.Residue; got != queries {
 		t.Errorf("routing decisions %+v sum to %d, want the %d query ops", res.Routes, got, queries)
 	}
 	if res.Apply.Enqueued == 0 {

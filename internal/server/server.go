@@ -723,7 +723,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rt := wp.RouteStats()
 		routesW = &RouteStatsWire{
 			Single:    rt.Single,
-			Double:    rt.Double,
 			Scattered: rt.Scattered,
 			Residue:   rt.Residue,
 		}
@@ -809,7 +808,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ring := &RingStatsWire{Epoch: status.Epoch, Shards: status.Shards, Vnodes: status.Vnodes}
 		if m := status.Migration; m != nil {
 			ring.Migration = &MigrationWire{
-				From: m.From, To: m.To, Phase: m.Phase, Moved: m.Moved, Total: m.Total,
+				From: m.From, To: m.To, Rel: m.Rel, Phase: m.Phase, Moved: m.Moved, Total: m.Total,
 			}
 		}
 		resp.Ring = ring

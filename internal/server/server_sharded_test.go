@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -131,7 +133,7 @@ func TestServerOverShardedRouter(t *testing.T) {
 	if stats.Routes == nil {
 		t.Fatal("sharded stats missing the routing breakdown")
 	}
-	if got := stats.Routes.Single + stats.Routes.Double + stats.Routes.Scattered + stats.Routes.Residue; got == 0 {
+	if got := stats.Routes.Single + stats.Routes.Scattered + stats.Routes.Residue; got == 0 {
 		t.Error("routing breakdown is all zero after served queries")
 	}
 	if stats.Routes.Residue == 0 {
@@ -149,6 +151,47 @@ func TestServerOverShardedRouter(t *testing.T) {
 	if sstats.Apply != nil || sstats.Routes != nil || sstats.Residue != nil {
 		t.Errorf("single-engine stats unexpectedly carries write-path blocks: apply=%+v routes=%+v residue=%+v",
 			sstats.Apply, sstats.Routes, sstats.Residue)
+	}
+}
+
+// movingRouter is a router whose placement state always reports the given
+// in-flight move: moves last milliseconds and the router's batch hook is
+// not visible from here, so the wire test pins the mapping instead of
+// racing a real one.
+type movingRouter struct {
+	*shard.Router
+	move shard.MigrationProgress
+}
+
+func (m movingRouter) RingStatus() shard.RingStatus {
+	st := m.Router.RingStatus()
+	st.Migration = &m.move
+	return st
+}
+
+// TestStatsReportsRepartitionInFlight pins the migration block of GET
+// /stats for a placement change: an automatic demotion is a move like any
+// reshard and shows up with the relation it is moving.
+func TestStatsReportsRepartitionInFlight(t *testing.T) {
+	router, _ := shardedService(t)
+	move := shard.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}
+	_, cli := startServer(t, movingRouter{Router: router, move: move}, Config{MaxRows: -1})
+	stats, err := cli.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Ring == nil || stats.Ring.Migration == nil {
+		t.Fatalf("ring block = %+v, want an in-flight migration", stats.Ring)
+	}
+	if got, want := *stats.Ring.Migration, (MigrationWire{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}); got != want {
+		t.Errorf("migration on the wire = %+v, want %+v", got, want)
+	}
+	raw, err := json.Marshal(stats.Ring.Migration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"rel":"carrier"`) {
+		t.Errorf("migration block lacks the rel key: %s", raw)
 	}
 }
 

@@ -355,12 +355,10 @@ type ApplyStatsWire struct {
 
 // RouteStatsWire is the routing-decision breakdown in GET /stats.
 type RouteStatsWire struct {
-	// Single counts single-shard executions; Double keyed reads that
-	// double-routed to two owners mid-reshard (each one a two-owner
-	// gather); Scattered full scatter/gather executions; Residue
-	// executions decomposed by the distributed residue executor.
+	// Single counts single-shard executions; Scattered full
+	// scatter/gather executions; Residue executions decomposed by the
+	// distributed residue executor.
 	Single    int64 `json:"single"`
-	Double    int64 `json:"double"`
 	Scattered int64 `json:"scattered"`
 	Residue   int64 `json:"residue"`
 }
@@ -430,13 +428,18 @@ type ReshardResponse struct {
 	DurationMicros int64 `json:"durationMicros,omitempty"`
 }
 
-// MigrationWire is an in-flight shard migration in GET /stats.
+// MigrationWire is an in-flight placement move — a reshard or a
+// repartition, automatic demotions included — in GET /stats.
 type MigrationWire struct {
-	// From and To are the shard counts the migration moves between.
+	// From and To are the shard counts the move is between (equal for a
+	// repartition).
 	From int `json:"from"`
 	To   int `json:"to"`
-	// Phase is "copy" (streaming, old ring serving), "cleanup" (flipped,
-	// sweeping stragglers) or "abort" (rolling back).
+	// Rel is the relation a repartition is moving; absent for a reshard,
+	// which moves every relation.
+	Rel string `json:"rel,omitempty"`
+	// Phase is "copy" (streaming, old assignment serving), "cleanup"
+	// (flipped, sweeping stragglers) or "abort" (rolling back).
 	Phase string `json:"phase"`
 	// Moved counts rows streamed so far out of an estimated Total.
 	Moved int64 `json:"moved"`
@@ -452,7 +455,8 @@ type RingStatsWire struct {
 	// shard contributes to the ring.
 	Shards int `json:"shards"`
 	Vnodes int `json:"vnodes"`
-	// Migration is present only while a reshard is in flight.
+	// Migration is present only while a reshard or repartition is in
+	// flight.
 	Migration *MigrationWire `json:"migration,omitempty"`
 }
 

@@ -195,15 +195,14 @@ func TestPerRelationFenceIsolation(t *testing.T) {
 	}
 }
 
-// TestDoubleRouteCountedDistinctly is the regression test for the
-// route-stats mislabeling: a keyed fast-path query that double-routes to
-// two owners mid-migration is a gather, and must be counted as Double —
-// not Single — so RouteStats and /stats do not under-report gather load
-// while a reshard is in flight.
-func TestDoubleRouteCountedDistinctly(t *testing.T) {
-	_, router, _ := buildPair(t, "AIRCA", 2)
+// TestKeyedReadMidCopy pins what replaced double-routing: with a 2→4
+// move frozen in its copy phase, a keyed fast-path read is one
+// single-shard execution on the key's owner under the readers' ring —
+// which invariant 1 of move.go keeps complete — whether or not the key is
+// changing owner, and its answer is the oracle's.
+func TestKeyedReadMidCopy(t *testing.T) {
+	eng, router, _ := buildPair(t, "AIRCA", 2)
 
-	// Freeze a 2→4 migration in its copy phase.
 	hold := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
@@ -222,21 +221,18 @@ func TestDoubleRouteCountedDistinctly(t *testing.T) {
 	}()
 	<-started
 
-	mig := router.mig.Load()
-	if mig == nil {
-		t.Fatal("no live migration after freeze")
+	mv := router.move.Load()
+	if mv == nil || mv.phase.Load() != phaseCopy {
+		t.Fatal("no live copy-phase move after freeze")
 	}
-	// A key whose owner differs between the rings double-routes; one whose
-	// owner agrees stays a plain single.
 	moved, stayed := int64(-1), int64(-1)
 	for k := int64(0); k < 1000 && (moved < 0 || stayed < 0); k++ {
 		v := value.NewInt(k)
-		oldM := mig.oldMembers[mig.oldRing.OwnerOf(v)]
-		newM := mig.newMembers[mig.newRing.OwnerOf(v)]
-		if oldM != newM && moved < 0 {
+		same := mv.old.st.members[mv.old.st.ring.OwnerOf(v)] == mv.new.st.members[mv.new.st.ring.OwnerOf(v)]
+		if !same && moved < 0 {
 			moved = k
 		}
-		if oldM == newM && stayed < 0 {
+		if same && stayed < 0 {
 			stayed = k
 		}
 	}
@@ -244,32 +240,27 @@ func TestDoubleRouteCountedDistinctly(t *testing.T) {
 		t.Fatal("could not find both a moved and an unmoved key")
 	}
 
-	exec := func(key int64) {
-		t.Helper()
-		src := `q(airline) :- ontime(f, ` + value.NewInt(key).String() + `, d, airline, m, delay)`
-		q, err := router.Parse(src)
+	for _, key := range []int64{moved, stayed} {
+		q, err := router.Parse(`q(airline) :- ontime(f, ` + value.NewInt(key).String() + `, d, airline, m, delay)`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := router.Execute(q, core.DefaultOptions()); err != nil {
+		want, _, err := eng.Execute(q, core.DefaultOptions())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	rs0 := router.RouteStats()
-	exec(moved)
-	rs1 := router.RouteStats()
-	if rs1.Double != rs0.Double+1 {
-		t.Errorf("mid-move keyed read: Double %d → %d, want +1", rs0.Double, rs1.Double)
-	}
-	if rs1.Single != rs0.Single {
-		t.Errorf("mid-move keyed read mis-counted as Single (%d → %d)", rs0.Single, rs1.Single)
-	}
-	exec(stayed)
-	rs2 := router.RouteStats()
-	if rs2.Single != rs1.Single+1 || rs2.Double != rs1.Double {
-		t.Errorf("unmoved keyed read: Single %d → %d, Double %d → %d, want Single +1 only",
-			rs1.Single, rs2.Single, rs1.Double, rs2.Double)
+		rs0 := router.RouteStats()
+		got, _, err := router.Execute(q, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs1 := router.RouteStats()
+		if rs1.Single != rs0.Single+1 || rs1.Scattered != rs0.Scattered || rs1.Residue != rs0.Residue {
+			t.Errorf("mid-copy keyed read of origin %d: routes %+v → %+v, want Single +1 only", key, rs0, rs1)
+		}
+		if !want.Equal(got) {
+			t.Errorf("mid-copy keyed read of origin %d: %d rows sharded vs %d oracle", key, got.Len(), want.Len())
+		}
 	}
 
 	close(hold)
@@ -313,7 +304,7 @@ func TestGatherFirstErrorPath(t *testing.T) {
 	if rs1.Scattered != rs0.Scattered+1 {
 		t.Errorf("Scattered %d → %d, want exactly +1", rs0.Scattered, rs1.Scattered)
 	}
-	if rs1.Single != rs0.Single || rs1.Residue != rs0.Residue || rs1.Double != rs0.Double {
+	if rs1.Single != rs0.Single || rs1.Residue != rs0.Residue {
 		t.Errorf("error path corrupted unrelated counters: %+v → %+v", rs0, rs1)
 	}
 	for i, m := range router.state.Load().members {

@@ -55,14 +55,14 @@ func newChaosWorld(t *testing.T, shards int) *chaosWorld {
 	router.SetIVMConfig(ivm.Config{Budget: 32, MinHits: 1, MinScore: 0, MaxViewRows: 1 << 18})
 	w := &chaosWorld{t: t, d: d, oracle: eng, router: router}
 	for _, src := range []string{
-		`q(airline) :- ontime(f, 42, d, airline, m, delay)`,                                                                                           // keyed fast path (double-routed mid-move)
+		`q(airline) :- ontime(f, 42, d, airline, m, delay)`,                                                                                           // keyed fast path (owner changes mid-move)
 		`q(origin, dest) :- ontime(f, origin, dest, 3, m, delay)`,                                                                                     // scatter, uncovered
 		`q(city) :- ontime(123, origin, dest, al, m, delay), airport(origin, city, st)`,                                                               // scatter, covered
 		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`,                                               // residue: cross-keyed product, no link (nested loop)
 		`q(origin, cause) :- ontime(f, origin, dest, al, m, delay), delaycause(f, cause, mins)`,                                                       // residue: semi-join + shuffle on the fid link
 		`(q(origin) :- ontime(f, origin, dest, al, m, delay)) EXCEPT (q(origin) :- delaycause(f2, origin, mins))`,                                     // residue: difference over a partitioned right operand
 		`q(cname) :- carrier(3, cname, country)`,                                                                                                      // broadcast-only single shard
-		`(q(airline) :- ontime(f, 42, d, airline, m, delay)) EXCEPT (q(airline) :- carrier(airline, nm, 0), ontime(f2, 42, d2, airline, m2, delay2))`, // non-monotone keyed (never double-routed)
+		`(q(airline) :- ontime(f, 42, d, airline, m, delay)) EXCEPT (q(airline) :- carrier(airline, nm, 0), ontime(f2, 42, d2, airline, m2, delay2))`, // non-monotone keyed fast path
 		`q(dest) :- ontime(f, 42, dest, 7, m, delay)`,                                                                                                 // IVM probe: hot keyed single-shard, maintained under the ontime churn
 		`q(country) :- carrier(9500, cname, country)`,                                                                                                 // IVM probe: broadcast-only, maintained through the apply queue's batched lane
 		`(q(cname) :- carrier(al, cname, country)) EXCEPT (q(cname) :- carrier(al2, cname, 2))`,                                                       // IVM probe: Diff-shaped over the churned broadcast relation (membership flips)

@@ -79,8 +79,8 @@ func fuzzHarness() *fuzzHarnessT {
 			return
 		}
 		fuzzH.routers = append(fuzzH.routers, r)
-		// A cluster frozen mid-copy: the migration stays live (phase copy,
-		// double-routing active) for the rest of the process. The blocked
+		// A cluster frozen mid-copy: the move stays live (phase copy, rows
+		// half-streamed) for the rest of the process. The blocked
 		// Reshard goroutine is an intentional leak scoped to the test
 		// binary.
 		frozen, err := build()

@@ -367,23 +367,23 @@ func TestDeleteVerdictDuringCleanup(t *testing.T) {
 	_, router, _ := buildPair(t, "AIRCA", 2)
 	checked := false
 	router.hookMigBatch = func() {
-		mig := router.mig.Load()
-		if checked || mig == nil || mig.phase.Load() != phaseCleanup {
+		mv := router.move.Load()
+		if checked || mv == nil || mv.phase.Load() != phaseCleanup {
 			return
 		}
 		// Find a moved row the sweep has already taken from its old owner
 		// but that is still live at its new owner. Candidate rows come from
 		// the new members' slices — the union over them covers the keyed
 		// relation.
-		for rel, pos := range router.part.Load().keyPos {
-			for _, src := range mig.newMembers {
+		for rel := range router.part.Load().keyPos {
+			for _, src := range mv.new.st.members {
 				rows, err := src.eng.DB().Rows(rel)
 				if err != nil {
 					continue
 				}
 				for _, tt := range rows {
-					oldM := mig.oldMembers[mig.oldRing.OwnerOf(tt[pos])]
-					newM := mig.newMembers[mig.newRing.OwnerOf(tt[pos])]
+					oldM := mv.old.placement(rel, tt)[0]
+					newM := mv.new.placement(rel, tt)[0]
 					if oldM == newM {
 						continue
 					}

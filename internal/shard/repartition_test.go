@@ -92,7 +92,7 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 				}
 				return rep
 			case <-tokens:
-				if router.rp.Load() != nil {
+				if router.move.Load() != nil {
 					w.check("during " + label)
 					mid++
 				}
@@ -168,8 +168,8 @@ func TestRepartitionAbort(t *testing.T) {
 		t.Fatalf("abort left placement gen=%d key=%q, want gen=%d key=origin",
 			ps.gen, ps.keys["ontime"], gen0)
 	}
-	if router.rp.Load() != nil {
-		t.Fatal("abort left the repartition published")
+	if router.move.Load() != nil {
+		t.Fatal("abort left the move published")
 	}
 	assertPlacement(t, "after abort", router)
 
@@ -273,7 +273,7 @@ func TestAutoDemoteOnGrowth(t *testing.T) {
 	}
 	// Wait for the full move (sweep included) before placement checks.
 	deadline = time.Now().Add(10 * time.Second)
-	for router.rp.Load() != nil {
+	for router.move.Load() != nil {
 		if time.Now().After(deadline) {
 			t.Fatal("demote migration still published after 10s")
 		}

@@ -43,12 +43,11 @@
 // The executor runs under the router's read fence (Execute holds rs
 // shared) with one ring state and one placement state captured for the
 // whole query, and Execute fences the apply-queue lanes of every
-// broadcast relation the query reads before evaluation starts. Both
-// migration protocols (rebalance.go, repartition.go) drain readers after
-// their flips and before their sweeps, so every member set the executor
-// unions over holds a complete — possibly surplus, never deficient —
-// cover of each subtree's data, and set-union merging makes surplus
-// copies harmless.
+// broadcast relation the query reads before evaluation starts. A
+// placement move (move.go) drains readers after its flip and before its
+// sweep, so every member set the executor unions over holds a complete —
+// possibly surplus, never deficient — cover of each subtree's data, and
+// set-union merging makes surplus copies harmless.
 package shard
 
 import (

@@ -6,7 +6,7 @@
 // virtual nodes into the ring, so only the keys falling into the stolen
 // arcs change owner — about 1/(N+1) of them — and shrinking removes one
 // shard's nodes, moving only the keys that shard owned. Everything else
-// stays put, which is what makes online rebalancing (rebalance.go) a
+// stays put, which is what makes online resharding (move.go) a
 // bounded stream instead of a full reshuffle.
 package shard
 

@@ -22,8 +22,7 @@
 //
 // The analysis is a pure function of the query, one ring and one
 // placement assignment: decisions are cached per (ring epoch, placement
-// generation), and during a migration the same routine runs against the
-// incoming ring to find the double-routing target.
+// generation).
 package shard
 
 import (
@@ -42,15 +41,13 @@ const (
 )
 
 // decision is the outcome of route: a strategy, the target shard for
-// routeSingle, whether that target was pinned by partition-key constants
-// (keyed) rather than by cache-affinity hashing, the broadcast relations
-// the query reads (whose apply-queue lanes Execute fences for
-// read-your-writes), and the (ring epoch, placement generation) the
-// decision was computed under (stale stamps are recomputed).
+// routeSingle, the broadcast relations the query reads (whose apply-queue
+// lanes Execute fences for read-your-writes), and the (ring epoch,
+// placement generation) the decision was computed under (stale stamps are
+// recomputed).
 type decision struct {
 	kind  routeKind
 	shard int
-	keyed bool
 	brels []string
 	epoch uint64
 	pgen  uint64
@@ -95,7 +92,7 @@ func (r *Router) route(norm ra.Query, ring *Ring, n int, ps *partState) decision
 		}
 	}
 	if target >= 0 {
-		return decision{kind: routeSingle, shard: target, keyed: true, brels: brels}
+		return decision{kind: routeSingle, shard: target, brels: brels}
 	}
 	if r.dist(norm, cl, ring, ps) != stUnsafe {
 		return decision{kind: routeScatter, brels: brels}

@@ -13,18 +13,20 @@
 // full copy on every shard. Small or unkeyed relations are broadcast;
 // DeriveKeys implements the default policy and Spec.Keys overrides it.
 // The assignment is not fixed for the life of the cluster: Repartition
-// (repartition.go) changes one relation's placement online — key to key,
-// key to broadcast, or broadcast to key — and a broadcast relation that
-// grows past Spec.BroadcastMaxRows is demoted to partitioned
-// automatically. The live assignment is versioned by a generation
-// counter, exactly as the ring is versioned by an epoch.
+// changes one relation's placement online — key to key, key to broadcast,
+// or broadcast to key — and a broadcast relation that grows past
+// Spec.BroadcastMaxRows is demoted to partitioned automatically. The live
+// assignment is versioned by a generation counter, exactly as the ring is
+// versioned by an epoch.
 //
 // Placement of partitioned tuples is a consistent-hash ring of virtual
 // nodes (ring.go), not hash % N: the ring can grow or shrink one shard at
 // a time while moving only ~1/N of the keyed rows, which is what makes
-// Reshard (rebalance.go) an online operation instead of a rebuild.
-// Routing decisions are stamped with the (epoch, generation) they were
-// made under and re-derived when either moves.
+// Reshard an online operation instead of a rebuild. Reshard and
+// Repartition are one placement-move protocol (move.go), which documents
+// why every intermediate state stays exact. Routing decisions are stamped
+// with the (epoch, generation) they were made under and re-derived when
+// either moves.
 //
 // # Routing
 //
@@ -54,12 +56,6 @@
 //     (shuffle.go), and the remaining operators are applied router-side.
 //     No engine with a full copy of the database exists any more.
 //
-// While a Reshard is migrating rows, keyed fast-path reads of monotone
-// queries additionally double-route to the key's owner under both the old
-// and the new ring and union the answers, so a key mid-move is answered
-// from wherever its rows currently live (rebalance.go documents why every
-// phase stays exact).
-//
 // # Writes
 //
 // Writes route to the owning shard by the ring for partitioned relations,
@@ -72,8 +68,8 @@
 // unrelated relation never stalls the read. Each engine's incremental
 // ⟨A, I_A⟩ maintenance keeps its cached plans valid — the serving-layer
 // invariant holds per shard, and Version never moves under tuple churn,
-// including the churn of migration itself. Access-schema changes fan out
-// to every engine and bump all versions in lockstep.
+// including the churn of a placement move itself. Access-schema changes
+// fan out to every engine and bump all versions in lockstep.
 package shard
 
 import (
@@ -200,9 +196,9 @@ func deriveKey(schema ra.Schema, A *access.Schema, rel string) (string, bool) {
 
 // wstripes is the number of write-ordering stripes; writes to the same
 // tuple serialize on one stripe so every engine applies them in the same
-// order. Reshard's and Repartition's copy and cleanup loops take the same
-// stripe per row, which is how migration serializes against concurrent
-// writes of the rows it is moving.
+// order. A placement move's copy and sweep loops take the same stripe per
+// row, which is how it serializes against concurrent writes of the rows it
+// is moving.
 const wstripes = 256
 
 // member is one shard engine plus its router-side execution counter and
@@ -243,16 +239,6 @@ type partState struct {
 	keyPos map[string]int
 }
 
-// placement returns the members that must hold tuple t of rel under this
-// assignment: the ring owner of its key when partitioned, every member
-// when broadcast.
-func (ps *partState) placement(rel string, t value.Tuple, st *ringState) []*member {
-	if pos, ok := ps.keyPos[rel]; ok {
-		return []*member{st.members[st.ring.OwnerOf(t[pos])]}
-	}
-	return st.members
-}
-
 // Router partitions a database across N core.Engine shards and implements
 // core.Service over the cluster, so the HTTP front end (internal/server)
 // and the replay harness (internal/bench) serve it exactly like a single
@@ -275,28 +261,24 @@ type Router struct {
 	// state is the live routing view (ring, members, epoch), swapped
 	// atomically by Reshard's flip.
 	state atomic.Pointer[ringState]
-	// mig is the in-flight membership migration, nil when stable.
-	mig atomic.Pointer[migration]
-	// rp is the in-flight placement migration, nil when stable. mig and
-	// rp are mutually exclusive: both run under rmu.
-	rp atomic.Pointer[repartition]
+	// move is the in-flight placement move (move.go), nil when stable. It
+	// is published with every write stripe held and runs under rmu.
+	move atomic.Pointer[move]
 	// rs is the read fence: every Execute holds it shared from the moment
-	// it loads state until its engines have answered, and the flips of
-	// Reshard and Repartition take it exclusively (and release
-	// immediately) before their cleanup sweeps — so no query that routed
-	// by the old view can still be running when the sweep starts deleting
-	// moved rows.
+	// it loads state until its engines have answered, and a move's flip
+	// takes it exclusively (and releases immediately) before the cleanup
+	// sweep — so no query that routed by the old view can still be running
+	// when the sweep starts deleting moved rows.
 	rs sync.RWMutex
 
 	// wmu stripes same-tuple writes into a fixed order across engines.
 	wmu [wstripes]sync.Mutex
 	// cmu serializes access-schema mutations so concurrent
 	// AddConstraints / RemoveConstraint calls cannot interleave their
-	// per-engine fan-outs and break version lockstep. It also guards
-	// fresh: engines a growing Reshard has built but not yet flipped in,
-	// which must join the fan-out the moment they can receive queries.
-	cmu   sync.Mutex
-	fresh []*member
+	// per-engine fan-outs and break version lockstep. A growing Reshard
+	// builds its engines and publishes its move under it, so they join the
+	// fan-out from the schema snapshot they were built on.
+	cmu sync.Mutex
 	// rmu serializes Reshard and Repartition calls; TryLock turns overlap
 	// into an error.
 	rmu sync.Mutex
@@ -336,22 +318,19 @@ type Router struct {
 	hmu     sync.Mutex
 	history map[string]prewarmEntry
 
-	// routed counts routing decisions by kind; doubled counts keyed
-	// fast-path reads that double-routed to two owners mid-migration
-	// (executed via gather, reported separately from Single).
-	routed  [3]atomic.Int64
-	doubled atomic.Int64
+	// routed counts routing decisions by kind.
+	routed [3]atomic.Int64
 
-	// Residue-execution counters (residue.go, shuffle.go,
-	// repartition.go), surfaced by ResidueStats.
+	// Residue-execution counters (residue.go, shuffle.go, move.go),
+	// surfaced by ResidueStats.
 	resSemiJoins    atomic.Int64
 	resShuffles     atomic.Int64
 	resRepartitions atomic.Int64
 	resBytesShipped atomic.Int64
 
-	// hookMigBatch, when set, runs between migration batches. Tests use it
-	// to slow or freeze a migration deterministically; it is never set in
-	// production.
+	// hookMigBatch, when set, runs between a move's copy and sweep
+	// batches. Tests use it to slow or freeze a move deterministically; it
+	// is never set in production.
 	hookMigBatch func()
 
 	// wal, when non-nil, makes the cluster durable (built by OpenDurable,
@@ -391,13 +370,7 @@ func New(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec) (*Router, 
 		if !ok {
 			return nil, fmt.Errorf("shard: partition key on unknown relation %q", rel)
 		}
-		pos := -1
-		for i, a := range attrs {
-			if a == attr {
-				pos = i
-				break
-			}
-		}
+		pos := attrPos(attrs, attr)
 		if pos < 0 {
 			return nil, fmt.Errorf("shard: relation %s has no attribute %q to partition by", rel, attr)
 		}
@@ -455,6 +428,16 @@ func New(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec) (*Router, 
 		r.SetPlanCacheCapacity(spec.PlanCacheSize)
 	}
 	return r, nil
+}
+
+// attrPos returns the column position of attribute name in attrs, or -1.
+func attrPos(attrs []string, name string) int {
+	for i, a := range attrs {
+		if a == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // OpenDurable opens (or creates) a durable cluster backed by the log in
@@ -602,15 +585,6 @@ func (r *Router) Execute(q ra.Query, opts core.Options) (*exec.Table, *core.Repo
 	switch dec.kind {
 	case routeSingle:
 		m := st.members[dec.shard]
-		if mig := r.mig.Load(); mig != nil && dec.keyed {
-			if sec := r.secondaryOwner(norm, st, ps, mig); sec != nil && sec != m {
-				// A keyed read whose owner differs between the rings runs as
-				// a two-owner gather; counted as Double, not Single, so
-				// RouteStats does not under-report gather load mid-reshard.
-				r.doubled.Add(1)
-				return r.gather(norm, fp, opts, []*member{m, sec})
-			}
-		}
 		r.routed[routeSingle].Add(1)
 		m.queries.Add(1)
 		return m.eng.ExecuteNormalized(norm, fp, opts)
@@ -673,50 +647,12 @@ func (r *Router) prewarmFresh(fresh []*member) {
 	}
 }
 
-// secondaryOwner resolves the double-routing target for a keyed fast-path
-// query while a migration is in flight: the owner of the same key
-// constants under the ring the live state is NOT using. It returns nil
-// when the query does not single-shard under the other ring, or when it
-// is not monotone — a difference evaluated over a mid-copy partial slice
-// could fabricate rows its full slice would cancel, so non-monotone
-// queries stay on the exact owner (which every migration phase keeps
-// complete; see rebalance.go).
-func (r *Router) secondaryOwner(norm ra.Query, st *ringState, ps *partState, mig *migration) *member {
-	otherRing, otherMembers := mig.newRing, mig.newMembers
-	if st.ring == mig.newRing {
-		otherRing, otherMembers = mig.oldRing, mig.oldMembers
-	}
-	if !monotone(norm) {
-		return nil
-	}
-	dec := r.route(norm, otherRing, len(otherMembers), ps)
-	if dec.kind != routeSingle || !dec.keyed {
-		return nil
-	}
-	return otherMembers[dec.shard]
-}
-
-// monotone reports whether norm contains no difference — the condition
-// under which evaluating it over a subset of the database can only lose
-// rows, never invent them, making a union with the exact owner's answer
-// exact.
-func monotone(norm ra.Query) bool {
-	ok := true
-	ra.Walk(norm, func(n ra.Query) {
-		if _, isDiff := n.(*ra.Diff); isDiff {
-			ok = false
-		}
-	})
-	return ok
-}
-
 // gather executes norm on every given member concurrently and merges the
 // results: rows by set union, access counts by summation, coverage and
-// boundedness verdicts by conjunction. Scatter/gather runs it over the
-// full member set; double-routed fast-path reads over the two owners of a
-// mid-migration key. Per-shard executions run on each member's bounded
-// worker pool (pool.go), so concurrent gathers share shards × GOMAXPROCS
-// execution goroutines instead of spawning one per member per request.
+// boundedness verdicts by conjunction. Per-shard executions run on each
+// member's bounded worker pool (pool.go), so concurrent gathers share
+// shards × GOMAXPROCS execution goroutines instead of spawning one per
+// member per request.
 // On any member error the first error (in member order) is returned and
 // every sibling result is discarded.
 func (r *Router) gather(norm ra.Query, fp string, opts core.Options, members []*member) (*exec.Table, *core.Report, error) {
@@ -782,35 +718,35 @@ func stripeOf(rel string, t value.Tuple) uint64 {
 // rest. Same-tuple writes are ordered by an internal stripe lock so all
 // member engines converge to the same state. Each engine maintains its
 // indices incrementally, so cached plans everywhere remain valid and
-// Version does not change. During a migration the write additionally
-// covers the tuple's placement under the incoming ring or key
-// (rebalance.go, repartition.go).
+// Version does not change. During a placement move the write additionally
+// covers the tuple's placement under the incoming assignment (move.go).
 func (r *Router) Insert(rel string, t value.Tuple) (bool, error) {
 	return r.mutate(rel, t, false)
 }
 
 // Delete removes a tuple from the cluster, routing like Insert. During
-// and just after a migration, deletes cover the tuple's placement under
-// both views so no stale copy of the tuple can outlive it.
+// a placement move, deletes cover the tuple's placement under both
+// assignments so no stale copy of the tuple can outlive it.
 func (r *Router) Delete(rel string, t value.Tuple) (bool, error) {
 	return r.mutate(rel, t, true)
 }
 
 // mutate applies one tuple write: validate against the schema up front,
-// then under the tuple's ordering stripe commit synchronously to the
-// targets chosen by writeTargets and hand the rest to the apply queue.
-// The first target always holds a complete slice for the tuple under the
-// view readers are currently routed by, so its verdict is the caller's
-// result and it maintains the logical size counter.
+// then under the tuple's ordering stripe commit synchronously to the first
+// target and either enqueue or apply the rest. Stable cluster: the targets
+// are the tuple's placement under the live assignment — the ring owner
+// (partitioned) or every member, anchor first (broadcast). While the
+// relation's placement is moving, the move picks them (move.targets). The
+// first target always holds a complete slice for the tuple under the
+// assignment readers are currently routed by, so its verdict is the
+// caller's result and it maintains the logical size counter.
 //
-// For a broadcast relation in steady state only the anchor (targets[0])
-// is synchronous: the other members' copies are enqueued on the
-// relation's lane — the enqueue happens under the stripe, which makes
-// lane order equal stripe order per tuple. While the relation itself is
-// being repartitioned every target is synchronous (its lane was fenced
-// empty when the move started), and partitioned writes are always
-// synchronous, passing through the queue only to obtain a write-ahead-log
-// LSN in durable mode.
+// A relation that is broadcast — on both sides, if it is moving — commits
+// on the anchor (targets[0]) and enqueues the other members' copies on its
+// lane; the enqueue happens under the stripe, which makes lane order equal
+// stripe order per tuple. Every other write is synchronous on all its
+// targets, passing through the queue only to obtain a write-ahead-log LSN
+// in durable mode.
 func (r *Router) mutate(rel string, t value.Tuple, del bool) (bool, error) {
 	attrs, ok := r.schema[rel]
 	if !ok {
@@ -819,58 +755,72 @@ func (r *Router) mutate(rel string, t value.Tuple, del bool) (bool, error) {
 	if !del && len(t) != len(attrs) {
 		return false, fmt.Errorf("shard: %s expects %d values, got %d", rel, len(attrs), len(t))
 	}
+	// Clone before enqueueing: the queued op outlives this call, and the
+	// caller is free to reuse its tuple slice afterwards.
+	t = t.Clone()
+	mu := &r.wmu[stripeOf(rel, t)]
+	mu.Lock()
+	changed, lane, err := r.writeLocked(rel, t, del, len(attrs))
+	mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	r.maybeCheckpoint()
+	if changed && !del && lane {
+		r.maybeDemote(rel)
+	}
+	return changed, nil
+}
+
+// writeLocked is mutate's critical section, run under the tuple's stripe.
+// It reports the first target's verdict and whether the relation's lane
+// carried the write.
+func (r *Router) writeLocked(rel string, t value.Tuple, del bool, arity int) (changed, lane bool, err error) {
+	// Load the move under the stripe: it is published with every stripe
+	// held, so a write sees either no move and the assignment before it,
+	// or the move with the lanes it closes already drained.
+	var targets []*member
+	if mv := r.move.Load(); mv != nil && mv.moves(rel) {
+		if lane = mv.lane(rel); lane || len(t) == arity {
+			targets = mv.targets(rel, t, del)
+		}
+	} else {
+		a := r.live()
+		if lane = !a.keyed(rel); lane || len(t) == arity {
+			targets = a.placement(rel, t)
+		}
+	}
+	if targets == nil {
+		// Placing a keyed tuple reads its key column.
+		return false, false, fmt.Errorf("shard: %s expects %d values, got %d", rel, arity, len(t))
+	}
 	apply := (*core.Engine).Insert
 	if del {
 		apply = (*core.Engine).Delete
 	}
-	// Clone before enqueueing: the queued op outlives this call, and the
-	// caller is free to reuse its tuple slice afterwards.
-	t = t.Clone()
-	stripe := stripeOf(rel, t)
-	mu := &r.wmu[stripe]
-	mu.Lock()
-	// Load the placement under the stripe: Repartition publishes its new
-	// state before its stripe barrier, so every write past the barrier
-	// sees it.
-	ps := r.part.Load()
-	pos, partitioned := ps.keyPos[rel]
-	rp := r.rp.Load()
-	relMoving := rp != nil && rp.rel == rel
-	if (partitioned || relMoving) && len(t) != len(attrs) {
-		mu.Unlock()
-		return false, fmt.Errorf("shard: %s expects %d values, got %d", rel, len(attrs), len(t))
+	if changed, err = apply(targets[0].eng, rel, t); err != nil {
+		return false, lane, err
 	}
-	targets := r.writeTargets(rel, t, pos, partitioned, del, rp)
-	asyncOK := !partitioned && !relMoving && len(targets) > 1
-	changed, err := apply(targets[0].eng, rel, t)
-	if err != nil {
-		mu.Unlock()
-		return false, err
-	}
-	if asyncOK {
+	// In durable mode the enqueue appends to the write-ahead log before
+	// the write is acknowledged; a log failure rejects the write (and
+	// poisons the log — Health reports the retained error until restart).
+	if lane && len(targets) > 1 {
 		engs := make([]*core.Engine, 0, len(targets)-1)
 		for _, m := range targets[1:] {
 			engs = append(engs, m.eng)
 		}
-		// In durable mode the enqueue appends to the write-ahead log before
-		// the write is acknowledged; a log failure rejects the write (and
-		// poisons the log — Health reports the retained error until
-		// restart).
 		if _, err := r.aq.enqueue(rel, t, del, engs); err != nil {
-			mu.Unlock()
-			return false, err
+			return false, lane, err
 		}
 	} else {
 		for _, m := range targets[1:] {
 			if _, err := apply(m.eng, rel, t); err != nil {
-				mu.Unlock()
-				return false, err
+				return false, lane, err
 			}
 		}
 		if r.wal != nil {
 			if _, err := r.aq.enqueue(rel, t, del, nil); err != nil {
-				mu.Unlock()
-				return false, err
+				return false, lane, err
 			}
 		}
 	}
@@ -881,12 +831,7 @@ func (r *Router) mutate(rel string, t value.Tuple, del bool) (bool, error) {
 			r.sizes[rel].Add(1)
 		}
 	}
-	mu.Unlock()
-	r.maybeCheckpoint()
-	if changed && !del && !partitioned && !relMoving {
-		r.maybeDemote(rel)
-	}
-	return changed, nil
+	return changed, lane, nil
 }
 
 // maybeDemote triggers a background Repartition of a broadcast relation
@@ -1020,97 +965,6 @@ func (r *Router) DurabilityStats() (wal.Stats, bool) {
 // replication stream endpoint). Nil when the router is not durable.
 func (r *Router) WAL() *wal.Log { return r.wal }
 
-// writeTargets picks the member engines one tuple write must reach,
-// ordered so the FIRST target is always complete for the tuple under the
-// view the readers are currently routed by — its apply verdict is the
-// caller's result. Stable cluster: the ring owner (partitioned) or every
-// member, anchor first (broadcast). While the relation's own placement is
-// moving (Repartition) the targets are the union of its old and new
-// placements with phase rules mirroring Reshard's; while the ring is
-// moving (Reshard) the rules are phase-dependent so that the readers'
-// ring always sees a complete slice, and no copy of a deleted tuple
-// survives anywhere:
-//
-//   - copy (readers on the old view): apply under both views, old
-//     placement first — it stays exact for reads, the new placement
-//     fills in for the flip.
-//   - cleanup (flipped; readers on the new view): inserts go to the new
-//     placement only, so the straggler sweep cannot leak fresh copies
-//     onto shards that no longer hold the tuple; deletes also cover the
-//     old placement — new first, since the sweep may already have
-//     emptied the old one — to kill any not-yet-swept copy.
-//   - abort (rolling back; readers on the old view): the mirror image —
-//     inserts to the old placement only, deletes cover both, old first.
-func (r *Router) writeTargets(rel string, t value.Tuple, pos int, partitioned, del bool, rp *repartition) []*member {
-	if rp != nil && rp.rel == rel {
-		st := r.state.Load()
-		oldT := rp.oldPS.placement(rel, t, st)
-		newT := rp.newPS.placement(rel, t, st)
-		switch phase := rp.phase.Load(); {
-		case del && phase == phaseCleanup:
-			return unionMembers(newT, oldT)
-		case del || phase == phaseCopy:
-			return unionMembers(oldT, newT)
-		case phase == phaseCleanup:
-			return newT
-		default: // phaseAbort insert
-			return oldT
-		}
-	}
-	mig := r.mig.Load()
-	if mig == nil {
-		st := r.state.Load()
-		if partitioned {
-			return []*member{st.members[st.ring.OwnerOf(t[pos])]}
-		}
-		return st.members
-	}
-	phase := mig.phase.Load()
-	if partitioned {
-		oldM := mig.oldMembers[mig.oldRing.OwnerOf(t[pos])]
-		newM := mig.newMembers[mig.newRing.OwnerOf(t[pos])]
-		switch {
-		case del && phase == phaseCleanup:
-			if oldM == newM {
-				return []*member{newM}
-			}
-			return []*member{newM, oldM}
-		case del || phase == phaseCopy:
-			if oldM == newM {
-				return []*member{oldM}
-			}
-			return []*member{oldM, newM}
-		case phase == phaseCleanup:
-			return []*member{newM}
-		default: // phaseAbort insert
-			return []*member{oldM}
-		}
-	}
-	switch {
-	case del || phase == phaseCopy:
-		return unionMembers(mig.oldMembers, mig.newMembers)
-	case phase == phaseCleanup:
-		return mig.newMembers
-	default: // phaseAbort insert
-		return mig.oldMembers
-	}
-}
-
-// unionMembers merges two member slices, deduplicating by identity.
-func unionMembers(a, b []*member) []*member {
-	out := make([]*member, 0, len(a)+len(b))
-	seen := make(map[*member]bool, len(a)+len(b))
-	for _, s := range [][]*member{a, b} {
-		for _, m := range s {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
 // AddConstraints installs extra access constraints on every engine of the
 // cluster, building their indices shard-locally and bumping every
 // engine's version in lockstep (each engine purges its own plan cache).
@@ -1120,8 +974,8 @@ func unionMembers(a, b []*member) []*member {
 // are the cluster's reference — and the change is logged (durable mode)
 // after the anchor accepted it and before it is acknowledged. Mutations
 // are serialized against each other so concurrent calls cannot skew
-// versions across engines; engines a growing Reshard has already built
-// join the fan-out immediately. The apply queue is drained first so every
+// versions across engines; engines a growing Reshard has published join
+// the fan-out immediately. The apply queue is drained first so every
 // member's index build sees every acknowledged write.
 func (r *Router) AddConstraints(cs ...access.Constraint) error {
 	for _, c := range cs {
@@ -1178,29 +1032,22 @@ func (r *Router) RemoveConstraint(c access.Constraint) bool {
 }
 
 // shardEnginesLocked lists every engine a schema mutation must reach —
-// the live members (anchor first) plus any engines a growing Reshard has
-// built but not yet flipped in. Callers must hold cmu.
+// the live members (anchor first) plus the members an in-flight move is
+// bringing in, which must follow the schema before they serve. Callers
+// must hold cmu.
 func (r *Router) shardEnginesLocked() []*core.Engine {
-	st := r.state.Load()
-	out := make([]*core.Engine, 0, len(st.members)+len(r.fresh))
-	seen := make(map[*core.Engine]bool, len(st.members)+len(r.fresh))
-	for _, m := range st.members {
-		if !seen[m.eng] {
-			seen[m.eng] = true
-			out = append(out, m.eng)
-		}
+	members := r.state.Load().members
+	if mv := r.move.Load(); mv != nil {
+		members = unionMembers(members, mv.new.st.members)
 	}
-	for _, m := range r.fresh {
-		if !seen[m.eng] {
-			seen[m.eng] = true
-			out = append(out, m.eng)
-		}
+	out := make([]*core.Engine, len(members))
+	for i, m := range members {
+		out[i] = m.eng
 	}
 	return out
 }
 
-// engines lists every member engine (plus pending Reshard growth
-// engines).
+// engines lists every member engine (plus a move's incoming ones).
 func (r *Router) engines() []*core.Engine {
 	r.cmu.Lock()
 	defer r.cmu.Unlock()
@@ -1263,8 +1110,8 @@ func (r *Router) SetIVMConfig(cfg ivm.Config) {
 }
 
 // PurgeMaterializations drops every live materialized answer on every
-// engine. Reshard and Repartition call it before their bulk copy phases:
-// views would stay coherent through the move (migration copies flow
+// engine. A placement move calls it before its bulk copy phase: views
+// would stay coherent through the move (its copies flow
 // through the same engine write paths as client writes), but paying
 // per-tuple delta maintenance for a whole-slice copy is pure waste, and
 // the rows land on engines whose fingerprints never earned them.
@@ -1319,10 +1166,6 @@ type RouteStats struct {
 	// Single counts queries answered by exactly one shard (unpartitioned
 	// queries and the covered-access fast path).
 	Single int64
-	// Double counts keyed fast-path reads that double-routed to the key's
-	// owner under both rings of an in-flight migration — each one is a
-	// two-owner gather, not a single-shard execution.
-	Double int64
 	// Scattered counts scatter/gather executions (each runs on every
 	// shard).
 	Scattered int64
@@ -1336,7 +1179,6 @@ type RouteStats struct {
 func (r *Router) RouteStats() RouteStats {
 	return RouteStats{
 		Single:    r.routed[routeSingle].Load(),
-		Double:    r.doubled.Load(),
 		Scattered: r.routed[routeScatter].Load(),
 		Residue:   r.routed[routeResidue].Load(),
 	}

@@ -169,9 +169,6 @@ func TestRoutingStrategies(t *testing.T) {
 	if dec.kind != routeSingle {
 		t.Fatalf("origin-bound query did not fast-path: %v", dec.kind)
 	}
-	if !dec.keyed {
-		t.Error("origin-bound fast path not marked keyed")
-	}
 	if want := router.ownerOf(value.NewInt(42)); dec.shard != want {
 		t.Errorf("fast path chose shard %d, owner of 42 is %d", dec.shard, want)
 	}
