@@ -59,10 +59,10 @@ bench-compare:
 	$(GO) run ./benchmark -compare $(BASE) $(OUT)
 
 # bench-exec prints the executor's per-operator micro-benchmarks: the
-# batched columnar evaluator against the preserved tuple-at-a-time one on
-# selection, join, union and fetch plans, with ns/op and allocs/op
-# (-benchmem). The allocation gate (TestExecAllocBudget, run by the normal
-# test suite outside -race) requires batched ≤ legacy/5 allocs/op.
+# batched columnar evaluator against the tuple-at-a-time reference kept in
+# test code, on selection, join, union and fetch plans, with ns/op and
+# allocs/op (-benchmem). The allocation gate (TestExecAllocBudget, run by
+# the normal test suite outside -race) requires ≤ 48 allocs/op per plan.
 bench-exec:
 	$(GO) test -run=^$$ -bench=BenchmarkExec -benchmem ./internal/exec
 

@@ -224,18 +224,6 @@ func BenchmarkEvalDBMS(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalQPParallel measures the concurrent plan executor on the
-// same fixture (independent fetching/indexing sub-plans run in parallel).
-func BenchmarkEvalQPParallel(b *testing.B) {
-	_, _, p, db := facebookFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := exec.RunParallel(p, db, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- ablations (design choices called out in DESIGN.md) -------------------
 
 // BenchmarkMaintenance_Incremental measures Proposition 12: per-update

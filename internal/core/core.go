@@ -113,10 +113,6 @@ type Options struct {
 	// rewriting, minimization and plan generation. Default on in
 	// DefaultOptions.
 	Cache bool
-	// Parallel executes bounded plans with exec.RunParallel instead of
-	// exec.Run, using Workers goroutines (0 = GOMAXPROCS).
-	Parallel bool
-	Workers  int
 }
 
 // DefaultOptions enables the full pipeline, including the plan cache.
@@ -545,16 +541,7 @@ func (e *Engine) runCompiled(c *compiled, opts Options, rep *Report) (*exec.Tabl
 	}
 
 	rep.Bounded = true
-	var (
-		table *exec.Table
-		st    exec.Stats
-		err   error
-	)
-	if opts.Parallel {
-		table, st, err = exec.RunParallel(c.plan, e.db, opts.Workers)
-	} else {
-		table, st, err = exec.Run(c.plan, e.db)
-	}
+	table, st, err := exec.Run(c.plan, e.db)
 	if err != nil {
 		return nil, rep, err
 	}

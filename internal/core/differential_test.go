@@ -8,10 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDifferentialTemplates sweeps every workload template through all
-// four execution paths — the conventional baseline (evalDBMS), the serial
-// bounded plan (exec.Run), the parallel bounded plan (exec.RunParallel)
-// and the cached path (plan-cache hit) — and requires identical answers.
+// TestDifferentialTemplates sweeps every workload template through every
+// execution path — the conventional baseline (evalDBMS), the bounded plan
+// (exec.Run) and the cached path (plan-cache miss, then hit) — and
+// requires identical answers.
 func TestDifferentialTemplates(t *testing.T) {
 	for _, d := range workload.All() {
 		d := d
@@ -38,9 +38,6 @@ func TestDifferentialTemplates(t *testing.T) {
 
 					serial := DefaultOptions()
 					serial.Cache = false
-					parallel := serial
-					parallel.Parallel = true
-					parallel.Workers = 4
 					cached := DefaultOptions()
 
 					paths := []struct {
@@ -48,7 +45,6 @@ func TestDifferentialTemplates(t *testing.T) {
 						opts Options
 					}{
 						{"run", serial},
-						{"runparallel", parallel},
 						{"cached-cold", cached},
 						{"cached-hot", cached},
 					}

@@ -275,7 +275,7 @@ func TestConcurrentServing(t *testing.T) {
 	)
 	errs := make(chan error, readers*readsPerGoro+8)
 
-	// Readers: alternate cached, uncached and parallel execution.
+	// Readers: alternate cached and uncached execution.
 	for g := 0; g < readers; g++ {
 		bounded.Add(1)
 		go func(g int) {
@@ -283,7 +283,6 @@ func TestConcurrentServing(t *testing.T) {
 			for i := 0; i < readsPerGoro; i++ {
 				opts := DefaultOptions()
 				opts.Cache = i%2 == 0
-				opts.Parallel = i%3 == 0
 				q, want := fb.Q1(), wantQ1
 				if i%5 == 0 {
 					q, want = fb.Q0(), wantQ0

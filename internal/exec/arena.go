@@ -18,10 +18,8 @@ const chunkHandles = 16 << 10
 // intermediates of one evaluation come from its arena; at the end the
 // result batch is detached into a self-contained Table and the arena goes
 // back to a sync.Pool wholesale, so steady-state hot-path execution
-// allocates (almost) nothing.
-//
-// An arena is single-goroutine; RunParallel gives each worker its own
-// arena and shares only the interner behind a mutex (see evalCtx).
+// allocates (almost) nothing. An arena belongs to one evaluation on one
+// goroutine.
 type arena struct {
 	in *value.Interner
 
@@ -153,19 +151,17 @@ func (a *arena) zeroedInts(n int) []int32 {
 	return s
 }
 
-// evalCtx carries one evaluation's shared state: the interner (optionally
-// mutex-guarded when RunParallel workers intern concurrently), the memory
-// arena of the current worker, and the access counter.
+// evalCtx carries one evaluation's state: the interner every intermediate
+// shares, the memory arena, and the access counter.
 type evalCtx struct {
 	a   *arena
 	in  *value.Interner
-	mu  *sync.Mutex // nil in single-goroutine runs
 	acc *accCounter
 }
 
 // allocHandles returns a zero-length handle slice with capacity n, from
-// the worker's arena when it has one and the heap otherwise (compat-table
-// operations run arena-less).
+// the evaluation's arena when it has one and the heap otherwise
+// (compat-table operations run arena-less).
 func (c *evalCtx) allocHandles(n int) []value.Handle {
 	if c.a != nil {
 		return c.a.handles(n)
@@ -196,36 +192,4 @@ func (c *evalCtx) growInts(s []int32, extra int) []int32 {
 		return c.a.growInts(s, extra)
 	}
 	return s
-}
-
-// intern returns v's handle. Inline ints never touch shared state; strings
-// and overflow ints lock when the interner is shared.
-func (c *evalCtx) intern(v value.Value) value.Handle {
-	switch v.K {
-	case value.Int:
-		if h, ok := value.IntHandle(v.I); ok {
-			return h
-		}
-	case value.Null:
-		return value.NullHandle
-	}
-	if c.mu == nil {
-		return c.in.Intern(v)
-	}
-	c.mu.Lock()
-	h := c.in.Intern(v)
-	c.mu.Unlock()
-	return h
-}
-
-// decode returns the value h encodes, locking when the interner is shared
-// (a concurrent intern may be growing the tables).
-func (c *evalCtx) decode(h value.Handle) value.Value {
-	if c.mu == nil {
-		return c.in.Decode(h)
-	}
-	c.mu.Lock()
-	v := c.in.Decode(h)
-	c.mu.Unlock()
-	return v
 }

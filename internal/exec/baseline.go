@@ -16,22 +16,11 @@ import (
 // smallest-first order — a fair model of the MySQL/PostgreSQL behaviour the
 // paper observed (entire tables are accessed whenever non-key attributes
 // are involved). Its data access is Θ(|D|) by construction. Like Run, the
-// evaluation itself is columnar over an arena; BOUNDED_EXEC=legacy selects
-// the tuple-at-a-time implementation.
+// evaluation itself is columnar over an arena. It is EvalSubtree without
+// the attribute scope.
 func RunBaseline(q ra.Query, s ra.Schema, db *store.DB) (*Table, Stats, error) {
-	if legacyDefault {
-		return RunBaselineLegacy(q, s, db)
-	}
-	start := time.Now()
-	var acc accCounter
-	a := getArena()
-	defer a.release()
-	ctx := &evalCtx{a: a, in: a.in, acc: &acc}
-	t, _, err := evalBaseline(ctx, q, s, db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return t.detach(), acc.stats(start, 0), nil
+	t, _, st, err := EvalSubtree(q, s, db)
+	return t, st, err
 }
 
 // EvalSubtree evaluates one subtree of a normalized query the
@@ -57,10 +46,30 @@ func EvalSubtree(q ra.Query, s ra.Schema, db *store.DB) (*Table, []ra.Attr, Stat
 }
 
 // PredsHold reports whether row, whose columns are positionally described
-// by scope, satisfies every predicate. Exported for the sharded residue
-// executor's per-row compatibility paths and the legacy evaluator.
+// by scope, satisfies every predicate. Exported for internal/ivm, which
+// filters delta tuples through a view's selection nodes one row at a time.
 func PredsHold(row value.Tuple, scope []ra.Attr, preds []ra.Pred) (bool, error) {
-	return predsHold(row, scope, preds)
+	for _, p := range preds {
+		switch t := p.(type) {
+		case ra.EqAttr:
+			pa, pb := attrIndex(scope, t.L), attrIndex(scope, t.R)
+			if pa < 0 || pb < 0 {
+				return false, fmt.Errorf("exec: selection attribute out of scope in %s", p)
+			}
+			if row[pa] != row[pb] {
+				return false, nil
+			}
+		case ra.EqConst:
+			pa := attrIndex(scope, t.A)
+			if pa < 0 {
+				return false, fmt.Errorf("exec: selection attribute out of scope in %s", p)
+			}
+			if row[pa] != t.C {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }
 
 // AttrIndex returns the position of a in attrs, or -1. Exported for the
@@ -196,7 +205,7 @@ func filterPreds(ctx *evalCtx, in *Table, scope []ra.Attr, preds []ra.Pred) ([]i
 			if pa < 0 {
 				return nil, fmt.Errorf("exec: selection attribute out of scope in %s", p)
 			}
-			ch := ctx.intern(t.C)
+			ch := ctx.in.Intern(t.C)
 			ca := in.cols[pa]
 			w := 0
 			for _, id := range keep {
@@ -364,7 +373,7 @@ func scanRelation(ctx *evalCtx, rel *ra.Relation, classes *ra.Classes,
 	if err != nil {
 		return nil, err
 	}
-	ctx.acc.addScanned(int64(len(rows)))
+	ctx.acc.scanned += int64(len(rows))
 	out := newCtxTable(ctx, cols, len(rows))
 	out.initSet(len(rows))
 rowLoop:
@@ -383,7 +392,7 @@ rowLoop:
 			}
 		}
 		for ci, cs := range order {
-			out.pushCand(ci, ctx.intern(t[cs.poss[0]]))
+			out.pushCand(ci, ctx.in.Intern(t[cs.poss[0]]))
 		}
 		out.commitCand()
 	}
@@ -398,30 +407,6 @@ func sharesColumn(a, b *Table) bool {
 		}
 	}
 	return false
-}
-
-func predsHold(row value.Tuple, scope []ra.Attr, preds []ra.Pred) (bool, error) {
-	for _, p := range preds {
-		switch t := p.(type) {
-		case ra.EqAttr:
-			pa, pb := attrIndex(scope, t.L), attrIndex(scope, t.R)
-			if pa < 0 || pb < 0 {
-				return false, fmt.Errorf("exec: selection attribute out of scope in %s", p)
-			}
-			if row[pa] != row[pb] {
-				return false, nil
-			}
-		case ra.EqConst:
-			pa := attrIndex(scope, t.A)
-			if pa < 0 {
-				return false, fmt.Errorf("exec: selection attribute out of scope in %s", p)
-			}
-			if row[pa] != t.C {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 func attrIndex(attrs []ra.Attr, a ra.Attr) int {

@@ -136,9 +136,9 @@ func buildBenchPlans(h *benchPlansT) error {
 	return nil
 }
 
-// benchOp measures one operator family's plan through the batched and the
-// legacy executor; `make bench-exec` reports both with -benchmem so the
-// allocation win is visible per operator.
+// benchOp measures one operator family's plan through the batched executor
+// and the tuple-at-a-time reference; `make bench-exec` reports both with
+// -benchmem so the allocation win is visible per operator.
 func benchOp(b *testing.B, kind string) {
 	h := benchPlans()
 	if h.err != nil {

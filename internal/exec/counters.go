@@ -21,7 +21,7 @@ type Counters struct {
 	// Batches and Rows describe operator output volume; Rows/Batches is
 	// the mean batch width.
 	Batches, Rows int64
-	// ArenaGets counts arena checkouts (one per evaluation per worker) and
+	// ArenaGets counts arena checkouts (one per evaluation) and
 	// ArenaNews the subset that missed the pool; 1 - News/Gets is the pool
 	// hit rate.
 	ArenaGets, ArenaNews int64

@@ -60,8 +60,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					t.Fatalf("query %d baseline: %v", i, err)
 				}
 				if !got.Equal(want) {
-					t.Fatalf("query %d answers differ (seed-reproducible)\nquery: %s\nbounded %d rows:\n%s\nbaseline %d rows:\n%s\nplan:\n%s",
-						i, q, got.Len(), got, want.Len(), want, p)
+					t.Fatalf("query %d answers differ (seed-reproducible)\nquery: %s\nbounded %d rows, baseline %d rows\n%s\nplan:\n%s",
+						i, q, got.Len(), want.Len(), rowDiff(got, want), p)
 				}
 				if st.Scanned != 0 {
 					t.Errorf("query %d: bounded plan scanned %d tuples", i, st.Scanned)

@@ -1,7 +1,9 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/store"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -44,9 +47,11 @@ func batchFuzzHarness() *batchFuzzHarnessT {
 }
 
 // checkBatchLegacy generates one query from the parameters and asserts the
-// batched executor agrees with the preserved tuple-at-a-time evaluator on
-// every observable: bounded answers, baseline answers, parallel answers,
-// and the access statistics both report.
+// batched executor agrees with the tuple-at-a-time reference evaluator on
+// every observable: bounded answers, baseline answers, and the access
+// statistics both report. A covered query must also keep the paper's bound
+// at run time: no scans, a fetch count equal to the store's own counter
+// delta, and no more accesses than the plan's static bound.
 func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 	t.Helper()
 	h := batchFuzzHarness()
@@ -72,8 +77,8 @@ func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 	}
 	if errL == nil {
 		if !got.Equal(want) {
-			t.Fatalf("baseline answer divergence on %s: batched %d rows, legacy %d rows\nbatched:\n%s\nlegacy:\n%s",
-				q, got.Len(), want.Len(), got, want)
+			t.Fatalf("baseline answer divergence on %s: batched %d rows, legacy %d rows\n%s",
+				q, got.Len(), want.Len(), rowDiff(got, want))
 		}
 		if gotSt.Accessed != wantSt.Accessed {
 			t.Fatalf("baseline access divergence on %s: batched %d, legacy %d", q, gotSt.Accessed, wantSt.Accessed)
@@ -89,7 +94,11 @@ func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 		t.Fatalf("plan build on covered %s: %v", q, err)
 	}
 	want, wantSt, errL = exec.RunLegacy(p, h.db)
+	// The harness DB has no concurrent user, so the store's counter delta
+	// across the call is exactly this run's accesses.
+	before := h.db.Counter()
 	got, gotSt, errB = exec.Run(p, h.db)
+	delta := h.db.Counter().Fetched - before.Fetched
 	if (errL == nil) != (errB == nil) {
 		t.Fatalf("bounded error divergence on %s: legacy %v, batched %v", q, errL, errB)
 	}
@@ -97,22 +106,47 @@ func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 		return
 	}
 	if !got.Equal(want) {
-		t.Fatalf("bounded answer divergence on %s: batched %d rows, legacy %d rows\nbatched:\n%s\nlegacy:\n%s\nplan:\n%s",
-			q, got.Len(), want.Len(), got, want, p)
+		t.Fatalf("bounded answer divergence on %s: batched %d rows, legacy %d rows\n%s\nplan:\n%s",
+			q, got.Len(), want.Len(), rowDiff(got, want), p)
 	}
 	if gotSt.Accessed != wantSt.Accessed {
 		t.Fatalf("bounded access divergence on %s: batched %d, legacy %d\nplan:\n%s", q, gotSt.Accessed, wantSt.Accessed, p)
 	}
-	par, parSt, err := exec.RunParallel(p, h.db, 4)
-	if err != nil {
-		t.Fatalf("parallel run on %s: %v", q, err)
+	if gotSt.Scanned != 0 {
+		t.Fatalf("bounded run of %s scanned %d tuples\nplan:\n%s", q, gotSt.Scanned, p)
 	}
-	if !par.Equal(want) {
-		t.Fatalf("parallel answer divergence on %s: parallel %d rows, legacy %d rows", q, par.Len(), want.Len())
+	if gotSt.Fetched != delta {
+		t.Fatalf("bounded run of %s reports %d fetched, the store counted %d\nplan:\n%s", q, gotSt.Fetched, delta, p)
 	}
-	if parSt.Accessed != wantSt.Accessed {
-		t.Fatalf("parallel access divergence on %s: parallel %d, legacy %d", q, parSt.Accessed, wantSt.Accessed)
+	if bound := p.MaxAccessBound(); gotSt.Accessed > bound {
+		t.Fatalf("bounded run of %s accessed %d tuples, above the plan's bound %d\nplan:\n%s", q, gotSt.Accessed, bound, p)
 	}
+}
+
+// rowDiff renders the smallest repair that reconciles two answers: the
+// rows only in got and the rows only in want, at most diffCap of each.
+func rowDiff(got, want *exec.Table) string {
+	const diffCap = 10
+	var sb strings.Builder
+	side := func(name string, a, b *exec.Table) {
+		var only []value.Tuple
+		for _, r := range a.Sorted() {
+			if !b.Has(r) {
+				only = append(only, r)
+			}
+		}
+		fmt.Fprintf(&sb, "only in %s (%d):\n", name, len(only))
+		for i, r := range only {
+			if i == diffCap {
+				fmt.Fprintf(&sb, "  ... %d more\n", len(only)-diffCap)
+				break
+			}
+			fmt.Fprintf(&sb, "  %s\n", r)
+		}
+	}
+	side("got", got, want)
+	side("want", want, got)
+	return sb.String()
 }
 
 // batchFuzzSeeds are the corpus the fuzzer mutates and the replay test
@@ -129,11 +163,11 @@ var batchFuzzSeeds = [][4]int64{
 }
 
 // FuzzBatchExec is the vectorized executor's differential oracle: for
-// arbitrary generator parameters, the batched evaluators (Run, RunBaseline,
-// RunParallel) must return exactly the answers AND the access statistics of
-// the preserved tuple-at-a-time evaluator. CI runs it briefly on every
-// build (make fuzz-smoke); any crasher replays deterministically from its
-// corpus file.
+// arbitrary generator parameters, the batched evaluators (Run, RunBaseline)
+// must return exactly the answers AND the access statistics of the
+// tuple-at-a-time reference evaluator, and Run must stay within its plan's
+// access bound. CI runs it briefly on every build (make fuzz-smoke); any
+// crasher replays deterministically from its corpus file.
 func FuzzBatchExec(f *testing.F) {
 	for _, s := range batchFuzzSeeds {
 		f.Add(s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))
@@ -144,9 +178,9 @@ func FuzzBatchExec(f *testing.F) {
 }
 
 // TestBatchLegacyReplay replays the fuzz corpus seeds (and a sweep of
-// deterministic extras) as a plain test, so the batched-vs-legacy
-// equivalence is exercised on every `go test` run, not only under the
-// fuzzer.
+// deterministic extras) as a plain test, so the batched-vs-reference
+// equivalence and the run-time bound are exercised on every `go test` run,
+// not only under the fuzzer.
 func TestBatchLegacyReplay(t *testing.T) {
 	for _, s := range batchFuzzSeeds {
 		checkBatchLegacy(t, s[0], uint8(s[1]), uint8(s[2]), uint8(s[3]))

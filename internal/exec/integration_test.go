@@ -1,6 +1,8 @@
 package exec_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cover"
@@ -155,5 +157,50 @@ func TestBoundedAccessIndependentOfD(t *testing.T) {
 	// p0 acquiring a few more friends in the larger population.
 	if boundedAccess[1] > boundedAccess[0]*3 {
 		t.Errorf("bounded access grew with |D|: %v", boundedAccess)
+	}
+}
+
+// TestRunPropagatesStepErrors: a plan whose fetch step points at a
+// constraint with no index must fail with an error naming that step, not
+// panic or return a partial answer.
+func TestRunPropagatesStepErrors(t *testing.T) {
+	fb, db, err := workload.GenFacebook(workload.DefaultFacebookConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := ra.Normalize(fb.Q1(), fb.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cover.Check(norm, fb.Schema, fb.Access)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sabotage: point the first fetch step at a constraint with no index.
+	bad := -1
+	for i := range p.Steps {
+		if p.Steps[i].Op == plan.OpFetch {
+			p.Steps[i].Con.N++
+			p.Steps[i].Con.Rel = "friend"
+			p.Steps[i].Con.X = nil
+			p.Steps[i].Con.Y = []string{"pid"}
+			p.Steps[i].XCols = p.Steps[i].XCols[:0]
+			bad = i
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("Q1's plan has no fetch step")
+	}
+	table, _, err := exec.Run(p, db)
+	if err == nil {
+		t.Fatalf("expected an error from the sabotaged plan, got %d rows", table.Len())
+	}
+	if want := fmt.Sprintf("exec: step T%d ", bad); !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q does not name the failing step (want prefix %q)", err, want)
 	}
 }

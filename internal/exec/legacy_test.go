@@ -1,15 +1,13 @@
-// The legacy tuple-at-a-time evaluator: the executor as it was before the
-// columnar refactor, kept as (a) the differential oracle FuzzBatchExec and
-// the batch-vs-legacy walls compare against, and (b) a build-internal
-// escape hatch — setting BOUNDED_EXEC=legacy routes Run, RunParallel and
-// RunBaseline through it process-wide. It allocates a map and a key string
-// per tuple per operator by design; the allocation benchmarks use it as
-// the "before" measurement.
+// The tuple-at-a-time reference evaluator: the executor as it was before
+// the columnar refactor, kept in test code as the differential oracle that
+// FuzzBatchExec and the batched-vs-reference walls compare answers and
+// access counts against (export_test.go exposes it to exec_test). It
+// allocates a map and a key string per tuple per operator by design; the
+// operator benchmarks use it as the "before" measurement.
 package exec
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -18,10 +16,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/value"
 )
-
-// legacyDefault routes the exported entry points through the legacy
-// evaluator when the process was started with BOUNDED_EXEC=legacy.
-var legacyDefault = os.Getenv("BOUNDED_EXEC") == "legacy"
 
 // legacyTable is the pre-refactor row-map table: tuples keyed by their
 // encoded strings.
@@ -55,10 +49,10 @@ func (t *legacyTable) toTable() *Table {
 	return out
 }
 
-// RunLegacy executes a bounded plan with the tuple-at-a-time evaluator.
+// runLegacy executes a bounded plan with the tuple-at-a-time evaluator.
 // Answers and Stats match Run exactly; only the execution strategy (and
 // its allocation profile) differs.
-func RunLegacy(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
+func runLegacy(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
 	start := time.Now()
 	var acc accCounter
 	tables := make([]*legacyTable, len(p.Steps))
@@ -204,9 +198,9 @@ func runFetchLegacy(s *plan.Step, tables []*legacyTable, db *store.DB, acc *accC
 
 	countFetch := func(fetched []value.Tuple) {
 		if len(fetched) == 0 {
-			acc.addFetched(1) // empty probe still touches the index once
+			acc.fetched++ // empty probe still touches the index once
 		} else {
-			acc.addFetched(int64(len(fetched)))
+			acc.fetched += int64(len(fetched))
 		}
 	}
 
@@ -288,9 +282,9 @@ func natJoinLegacy(l, r *legacyTable) *legacyTable {
 	return out
 }
 
-// RunBaselineLegacy evaluates q the conventional way with the
+// runBaselineLegacy evaluates q the conventional way with the
 // tuple-at-a-time evaluator. Answers and Stats match RunBaseline exactly.
-func RunBaselineLegacy(q ra.Query, s ra.Schema, db *store.DB) (*Table, Stats, error) {
+func runBaselineLegacy(q ra.Query, s ra.Schema, db *store.DB) (*Table, Stats, error) {
 	start := time.Now()
 	var acc accCounter
 	t, _, err := evalBaselineLegacy(q, s, db, &acc)
@@ -353,7 +347,7 @@ func evalBaselineLegacy(q ra.Query, s ra.Schema, db *store.DB, acc *accCounter) 
 		}
 		out := newLegacyTable(in.cols)
 		for _, row := range in.rows {
-			ok, err := predsHold(row, ia, t.Preds)
+			ok, err := PredsHold(row, ia, t.Preds)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -524,7 +518,7 @@ func scanRelationLegacy(rel *ra.Relation, classes *ra.Classes,
 	if err != nil {
 		return nil, err
 	}
-	acc.addScanned(int64(len(rows)))
+	acc.scanned += int64(len(rows))
 rowLoop:
 	for _, t := range rows {
 		row := make(value.Tuple, len(cols))

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/plan"
@@ -27,24 +26,19 @@ type Stats struct {
 // store's accounting (Fetch: tuples returned, or 1 for an empty probe;
 // Scan: tuples read). The DB-global counter is a delta shared by every
 // concurrent execution, so per-run Stats must count independently or each
-// query would be charged for its neighbours' accesses. Fields are atomic
-// because RunParallel workers share one counter.
+// query would be charged for its neighbours' accesses.
 type accCounter struct {
 	fetched, scanned int64
 }
 
-func (c *accCounter) addFetched(n int64) { atomic.AddInt64(&c.fetched, n) }
-func (c *accCounter) addScanned(n int64) { atomic.AddInt64(&c.scanned, n) }
-
 func (c *accCounter) stats(start time.Time, planLen int) Stats {
-	st := Stats{
-		Fetched:    atomic.LoadInt64(&c.fetched),
-		Scanned:    atomic.LoadInt64(&c.scanned),
+	return Stats{
+		Accessed:   c.fetched + c.scanned,
+		Fetched:    c.fetched,
+		Scanned:    c.scanned,
 		Duration:   time.Since(start),
 		PlanLength: planLen,
 	}
-	st.Accessed = st.Fetched + st.Scanned
-	return st
 }
 
 // Run executes a bounded query plan against db (evalQP). Indices for every
@@ -53,12 +47,8 @@ func (c *accCounter) stats(start time.Time, planLen int) Stats {
 // Execution is columnar: every step produces an arena-backed batch table,
 // the result is detached into self-contained heap storage, and the arena
 // returns to its pool — so a steady-state run performs no per-tuple
-// allocation. BOUNDED_EXEC=legacy selects the tuple-at-a-time evaluator
-// instead (legacy.go).
+// allocation. Steps run in plan order on the calling goroutine.
 func Run(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
-	if legacyDefault {
-		return RunLegacy(p, db)
-	}
 	start := time.Now()
 	var acc accCounter
 	a := getArena()
@@ -87,7 +77,7 @@ func runStep(ctx *evalCtx, p *plan.Plan, s *plan.Step, tables []*Table, db *stor
 		t.initSet(len(s.Rows))
 		for _, r := range s.Rows {
 			for j := range t.cols {
-				t.pushCand(j, ctx.intern(r[j]))
+				t.pushCand(j, ctx.in.Intern(r[j]))
 			}
 			t.commitCand()
 		}
@@ -155,7 +145,7 @@ func filterRows(ctx *evalCtx, in *Table, conds []plan.Cond) ([]int32, error) {
 	}
 	for _, c := range conds {
 		if c.IsConst {
-			ch := ctx.intern(c.C)
+			ch := ctx.in.Intern(c.C)
 			col := in.cols[c.PosA]
 			w := 0
 			for _, id := range keep {
@@ -243,8 +233,8 @@ func crossCtx(ctx *evalCtx, l, r *Table, outCols []string) *Table {
 	return t
 }
 
-// colIndex returns the position of label in cols, or -1 (allocation-free
-// replacement for the legacy label→position maps; output widths are small).
+// colIndex returns the position of label in cols, or -1 (an allocation-free
+// linear search; output widths are small).
 func colIndex(cols []string, label string) int {
 	for i, c := range cols {
 		if c == label {
@@ -258,8 +248,9 @@ func colIndex(cols []string, label string) int {
 // input batch are computed column-wise, all index probes for the batch run
 // under one store lock acquisition (store.FetchBatch), and fetched tuples
 // are interned and emitted with intra-class equality and constant bindings
-// enforced — the same per-tuple semantics as the legacy evaluator, with
-// identical access accounting.
+// enforced — the same per-tuple semantics as the tuple-at-a-time reference
+// evaluator the fuzz wall compares against, with identical access
+// accounting.
 func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table, error) {
 	out := newCtxTable(ctx, s.Cols, 0)
 	out.initSet(16)
@@ -274,7 +265,7 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 		if p < 0 {
 			return nil, fmt.Errorf("const requirement on unknown column %s", ce.Label)
 		}
-		constAt[p] = ctx.intern(ce.C)
+		constAt[p] = ctx.in.Intern(ce.C)
 	}
 	// Index payload position -> output position.
 	outPos := ctx.allocInts(len(s.FetchAttrs))[:len(s.FetchAttrs)]
@@ -297,7 +288,7 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 				seen[j] = 0
 			}
 			for i, p := range outPos {
-				h := ctx.intern(ft[i])
+				h := ctx.in.Intern(ft[i])
 				if seen[p] != 0 {
 					// Two index attributes share a class: values must agree.
 					if rowbuf[p] != h {
@@ -320,9 +311,9 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 
 	countFetch := func(fetched []value.Tuple) {
 		if len(fetched) == 0 {
-			ctx.acc.addFetched(1) // empty probe still touches the index once
+			ctx.acc.fetched++ // empty probe still touches the index once
 		} else {
-			ctx.acc.addFetched(int64(len(fetched)))
+			ctx.acc.fetched += int64(len(fetched))
 		}
 	}
 
@@ -351,7 +342,7 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 	for k, id := range ids {
 		row := flat[k*len(xcols) : (k+1)*len(xcols) : (k+1)*len(xcols)]
 		for j := range xcols {
-			row[j] = ctx.decode(xcols[j][id])
+			row[j] = ctx.in.Decode(xcols[j][id])
 		}
 		xs[k] = row
 	}

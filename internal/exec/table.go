@@ -7,9 +7,9 @@
 // column over a per-table (or per-evaluation) string interner, operators
 // work on whole columns, and intermediates draw their memory from a pooled
 // per-request arena that is returned wholesale when the evaluation ends.
-// The legacy tuple-at-a-time evaluator survives in legacy.go as the
-// differential oracle and can be selected process-wide with
-// BOUNDED_EXEC=legacy.
+// Run is the only plan evaluator and RunBaseline/EvalSubtree the only
+// conventional one; the tuple-at-a-time evaluator the fuzz wall compares
+// them against lives in test code (legacy_test.go).
 package exec
 
 import (
@@ -63,8 +63,8 @@ func NewTableSized(cols []string, capacity int) *Table {
 }
 
 // newCtxTable creates an arena-backed intermediate table for one
-// evaluation: columns come from the worker's arena and the interner is the
-// evaluation's shared one. The dedup index is NOT initialized — operators
+// evaluation: columns come from the evaluation's arena and the interner is
+// the one all of its intermediates share. The dedup index is NOT initialized — operators
 // that need dedup call initSet or dedupAll themselves.
 func newCtxTable(ctx *evalCtx, cols []string, capacity int) *Table {
 	t := &Table{Cols: cols, in: ctx.in, a: ctx.a, cols: make([][]value.Handle, len(cols))}

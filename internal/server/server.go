@@ -67,8 +67,8 @@ type Config struct {
 	// MaxRows is the default row cap on /query responses when the request
 	// does not set one. 0 means DefaultMaxRows; negative means unlimited.
 	MaxRows int
-	// Options is the base execution options for /query; per-request fields
-	// (Parallel, Workers, NoCache) override it. The zero Options means
+	// Options is the base execution options for /query; the per-request
+	// NoCache field overrides it. The zero Options means
 	// core.DefaultOptions().
 	Options *core.Options
 	// Logger receives one structured line per request. nil means
@@ -437,10 +437,6 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest) queryOutcome {
 		return queryOutcome{code: http.StatusUnprocessableEntity, err: err}
 	}
 	opts := s.base
-	if req.Parallel {
-		opts.Parallel = true
-		opts.Workers = req.Workers
-	}
 	if req.NoCache {
 		opts.Cache = false
 	}

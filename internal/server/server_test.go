@@ -163,14 +163,41 @@ func TestQueryOptions(t *testing.T) {
 		t.Fatalf("want 1 of 2 rows truncated, got len=%d rowCount=%d truncated=%v",
 			len(resp.Rows), resp.RowCount, resp.Truncated)
 	}
+}
 
-	// Parallel execution returns the same answer.
-	resp, err = c.QueryOpts(ctx, QueryRequest{Query: friendQuery, Parallel: true, Workers: 2})
+// TestQueryAcceptsRetiredParallelFields: clients written against the
+// retired "parallel"/"workers" request fields keep working — the body
+// decodes (unknown fields are ignored) and answers like the plain request.
+func TestQueryAcceptsRetiredParallelFields(t *testing.T) {
+	_, c := startServer(t, testEngine(t), Config{})
+	want, err := c.Query(context.Background(), friendQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.RowCount != 2 {
-		t.Fatalf("parallel execution: want 2 rows, got %d", resp.RowCount)
+	body, err := json.Marshal(map[string]any{"query": friendQuery, "parallel": true, "workers": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.base+"/query", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("want 200, got %d", resp.StatusCode)
+	}
+	var got QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	gotRows, wantRows := got.RowTuples(), want.RowTuples()
+	if got.RowCount != want.RowCount || len(gotRows) != len(wantRows) {
+		t.Fatalf("want %d rows, got rowCount=%d len=%d", want.RowCount, got.RowCount, len(gotRows))
+	}
+	for i := range wantRows {
+		if gotRows[i].Key() != wantRows[i].Key() {
+			t.Fatalf("row %d: got %v, want %v", i, gotRows[i], wantRows[i])
+		}
 	}
 }
 

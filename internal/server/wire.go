@@ -15,10 +15,6 @@ type QueryRequest struct {
 	// Query is the query text, e.g.
 	// "q(cid) :- friend(0,f), dine(f,cid), cafe(cid,'nyc')".
 	Query string `json:"query"`
-	// Parallel executes the bounded plan with exec.RunParallel using
-	// Workers goroutines (0 = GOMAXPROCS).
-	Parallel bool `json:"parallel,omitempty"`
-	Workers  int  `json:"workers,omitempty"`
 	// NoCache bypasses the plan cache for this request: the full analysis
 	// pipeline runs even for a previously seen query.
 	NoCache bool `json:"noCache,omitempty"`

@@ -129,7 +129,7 @@ func (in *Interner) ensureMaps() {
 
 // Intern returns the handle of v, extending the tables as needed. It must
 // only be called by the goroutine constructing the interner (or under an
-// external lock — see the batched executor's shared-interner mode).
+// external lock).
 func (in *Interner) Intern(v Value) Handle {
 	switch v.K {
 	case Int:
