@@ -336,8 +336,8 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 			t, rep, err := e.runCompiled(c, opts, &Report{CacheHit: true, Version: e.version.Load()})
 			if err == nil && mgr != nil {
 				vk := viewKey(fp, opts)
-				if mgr.ShouldAdmit(vk, hits, float64(rep.Stats.Accessed)+1) {
-					e.materialize(mgr, vk, c, t)
+				if cost := float64(rep.Stats.Accessed) + 1; mgr.ShouldAdmit(vk, hits, cost) {
+					e.materialize(mgr, vk, c, t, cost)
 				}
 			}
 			return t, rep, err

@@ -61,8 +61,9 @@ func (e *Engine) PurgeMaterializations() {
 // the registration are one atomic step of the delta stream, so the view
 // misses no write and double-counts none. Called with e.mu held shared;
 // seed is the just-executed answer whose column labels the published
-// snapshots adopt.
-func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *exec.Table) {
+// snapshots adopt, and cost its measured execution cost, the view's worth
+// per read to the admission gate.
+func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *exec.Table, cost float64) {
 	v, err := ivm.Build(c.norm, e.schema, seed.Cols, mgr.Config().MaxViewRows)
 	if err != nil {
 		mgr.Deny(key)
@@ -78,7 +79,7 @@ func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *ex
 		return
 	}
 	// A failed seeding is recorded as a denial by Install itself.
-	_ = mgr.Install(key, v, e.db, c)
+	_ = mgr.Install(key, v, e.db, c, cost)
 }
 
 // trackedWrite is the non-durable write path of an IVM-enabled engine:

@@ -28,8 +28,9 @@ type Config struct {
 }
 
 // DefaultConfig is the admission policy engines start with: up to 64
-// views, admitted after 3 repeats once hits × cost passes 32, each capped
-// at 256k counted rows.
+// views, admitted after 3 repeats once hits × cost passes 32 — and, with
+// the budget full, only by displacing a resident worth less than half as
+// much — each capped at 256k counted rows.
 func DefaultConfig() Config {
 	return Config{Budget: 64, MinHits: 3, MinScore: 32, MaxViewRows: 1 << 18}
 }
@@ -45,8 +46,9 @@ type Stats struct {
 	Budget       int
 	// Admitted / Evicted / Purged count view lifecycle events: admissions,
 	// budget-pressure evictions, and invalidation purges (version bumps,
-	// reshard, repartition).
-	Admitted, Evicted, Purged int64
+	// reshard, repartition). Rejected counts admission checks a qualifying
+	// candidate lost to the resident it would have displaced.
+	Admitted, Evicted, Purged, Rejected int64
 	// Hits counts reads served from a materialized answer; DeltaApplies
 	// counts tuple writes folded into a view.
 	Hits, DeltaApplies int64
@@ -71,6 +73,7 @@ func (s Stats) Merge(o Stats) Stats {
 	s.Admitted += o.Admitted
 	s.Evicted += o.Evicted
 	s.Purged += o.Purged
+	s.Rejected += o.Rejected
 	s.Hits += o.Hits
 	s.DeltaApplies += o.DeltaApplies
 	s.Fallbacks += o.Fallbacks
@@ -89,29 +92,43 @@ type entry struct {
 	// admission, returned verbatim on every Serve so the engine can fill
 	// its execution report without recompiling.
 	info any
-	// hits is the benefit counter (serves since admission); last is the
-	// manager-clock timestamp of the most recent serve. Eviction takes the
-	// minimum (hits, last): lowest benefit first, least recently used on
-	// ties.
-	hits atomic.Int64
+	// cost is the execution cost (tuples accessed + 1) measured when the
+	// view was admitted, hash the key's sketch hash, and last the
+	// manager-clock timestamp of the most recent serve. A view's worth is
+	// its decayed read frequency × cost; the least recently served goes
+	// first among equals.
+	cost float64
+	hash uint64
 	last atomic.Int64
 }
 
-// maxDenied bounds the negative-admission cache so a hostile query stream
-// cannot grow it without bound.
-const maxDenied = 4096
+const (
+	// maxDenied bounds the negative-admission cache so a hostile query
+	// stream cannot grow it without bound.
+	maxDenied = 4096
+	// admitMargin is how many times the worth of the resident it would
+	// displace a candidate must exceed to be admitted with the budget
+	// full. Above 1 so that keys of equal heat, whose estimates differ only
+	// by sampling noise, do not trade places; a shifted hot set still
+	// clears it within a few hundred reads as the old residents' counts
+	// halve away.
+	admitMargin = 2
+)
 
 // Manager owns the live views of one engine: admission scoring, the view
-// budget, benefit-based eviction, per-relation write routing and the
+// budget, the displacement gate, per-relation write routing and the
 // lifecycle counters. All methods are safe for concurrent use; the
 // ordering contract for OnWrite is inherited from View.Apply.
 type Manager struct {
 	cfg   Config
 	clock atomic.Int64
+	// freq counts every Serve — live view or not — so residents and
+	// candidates are scored on the same decayed frequency.
+	freq *sketch
 
-	hits, admitted, evicted, purged      atomic.Int64
-	deltaApplies, fallbacks, denied      atomic.Int64
-	seedFetched, seedScanned, buildNanos atomic.Int64
+	hits, admitted, evicted, purged, rejected atomic.Int64
+	deltaApplies, fallbacks, denied           atomic.Int64
+	seedFetched, seedScanned, buildNanos      atomic.Int64
 
 	mu    sync.RWMutex
 	views map[string]*entry
@@ -127,6 +144,7 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:   cfg,
+		freq:  newSketch(cfg.Budget),
 		views: map[string]*entry{},
 		deny:  map[string]bool{},
 	}
@@ -152,8 +170,10 @@ func (m *Manager) Tracks(rel string) bool {
 
 // Serve returns the published answer of the view under key, the opaque
 // admission info, and whether a view was live. The returned table is
-// shared and read-only.
+// shared and read-only. Every call counts one read of key in the
+// frequency sketch, served or not.
 func (m *Manager) Serve(key string) (*exec.Table, any, bool) {
+	m.freq.add(sketchHash(key))
 	m.mu.RLock()
 	e := m.views[key]
 	m.mu.RUnlock()
@@ -164,7 +184,6 @@ func (m *Manager) Serve(key string) (*exec.Table, any, bool) {
 	if t == nil {
 		return nil, nil, false
 	}
-	e.hits.Add(1)
 	e.last.Store(m.clock.Add(1))
 	m.hits.Add(1)
 	return t, e.info, true
@@ -177,21 +196,52 @@ func (m *Manager) Has(key string) bool {
 	return m.views[key] != nil
 }
 
-// ShouldAdmit applies the admission formula: the key has no live view and
-// was not previously denied, the repeat count passed MinHits, and
-// hits × cost passed MinScore.
+// ShouldAdmit applies the admission formula: the repeat count passed
+// MinHits, hits × cost passed MinScore, and the key has no live view and
+// was not previously denied. With the budget full it also applies the
+// displacement gate: the candidate's decayed frequency × cost must exceed
+// admitMargin × that of the resident Admit would evict (the victim), or
+// the refusal is counted as Rejected.
 func (m *Manager) ShouldAdmit(key string, hits int64, cost float64) bool {
-	if !m.cfg.Enabled() {
+	if !m.cfg.Enabled() || hits < m.cfg.MinHits || float64(hits)*cost < m.cfg.MinScore {
 		return false
 	}
 	m.mu.RLock()
-	_, live := m.views[key]
-	denied := m.deny[key]
-	m.mu.RUnlock()
-	if live || denied {
+	defer m.mu.RUnlock()
+	if m.views[key] != nil || m.deny[key] {
 		return false
 	}
-	return hits >= m.cfg.MinHits && float64(hits)*cost >= m.cfg.MinScore
+	if len(m.views) < m.cfg.Budget {
+		return true
+	}
+	_, low := m.victimLocked()
+	if m.worth(sketchHash(key), cost) > admitMargin*low {
+		return true
+	}
+	m.rejected.Add(1)
+	return false
+}
+
+// worth scores a key for the gate: decayed read frequency × execution cost.
+func (m *Manager) worth(hash uint64, cost float64) float64 {
+	return float64(m.freq.estimate(hash)) * cost
+}
+
+// victimLocked returns the resident the next admission displaces and its
+// worth: the lowest worth, least recently served on ties. Called with m.mu
+// held (shared or exclusive).
+func (m *Manager) victimLocked() (*entry, float64) {
+	var (
+		victim *entry
+		low    float64
+	)
+	for _, e := range m.views {
+		w := m.worth(e.hash, e.cost)
+		if victim == nil || w < low || (w == low && e.last.Load() < victim.last.Load()) {
+			victim, low = e, w
+		}
+	}
+	return victim, low
 }
 
 // Denied reports whether key was rejected at a previous build attempt.
@@ -202,20 +252,28 @@ func (m *Manager) Denied(key string) bool {
 }
 
 // Deny records a failed materialization so the engine stops re-attempting
-// the build on every execution. The negative cache is dropped on PurgeAll.
+// the build on every execution. A full negative cache drops an arbitrary
+// entry to make room: forgetting an old denial costs one rebuild, while
+// not recording a new one would rebuild that view on every repeat. The
+// negative cache is dropped on PurgeAll.
 func (m *Manager) Deny(key string) {
 	m.denied.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.deny) < maxDenied {
-		m.deny[key] = true
+	if !m.deny[key] && len(m.deny) >= maxDenied {
+		for k := range m.deny {
+			delete(m.deny, k)
+			break
+		}
 	}
+	m.deny[key] = true
 }
 
-// Admit installs a view under key, evicting lowest-benefit views while the
-// budget is exceeded. info is returned verbatim by Serve. Admitting a key
-// that is already live is a no-op.
-func (m *Manager) Admit(key string, v *View, info any) {
+// Admit installs a view under key, evicting the gate's victim while the
+// budget is exceeded. info is returned verbatim by Serve; cost is the
+// query's measured execution cost (tuples accessed + 1), the view's worth
+// per read. Admitting a key that is already live is a no-op.
+func (m *Manager) Admit(key string, v *View, info any, cost float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.views[key] != nil {
@@ -224,25 +282,25 @@ func (m *Manager) Admit(key string, v *View, info any) {
 	for len(m.views) >= m.cfg.Budget {
 		m.evictLocked()
 	}
-	e := &entry{key: key, view: v, info: info}
+	e := &entry{key: key, view: v, info: info, cost: cost, hash: sketchHash(key)}
 	e.last.Store(m.clock.Add(1))
 	m.views[key] = e
 	m.rerouteLocked(e, true)
 	m.admitted.Add(1)
 }
 
-// Install seeds the built view v from db and admits it under key, or
-// records the denial when seeding fails (too large). It is the part of a
-// materialization that must run with writers excluded — the caller holds
-// the engine's fence exclusively around it — and it accounts what that
-// exclusion cost: tuples read, and time held.
-func (m *Manager) Install(key string, v *View, db *store.DB, info any) error {
+// Install seeds the built view v from db and admits it under key with the
+// given cost (see Admit), or records the denial when seeding fails (too
+// large). It is the part of a materialization that must run with writers
+// excluded — the caller holds the engine's fence exclusively around it —
+// and it accounts what that exclusion cost: tuples read, and time held.
+func (m *Manager) Install(key string, v *View, db *store.DB, info any, cost float64) error {
 	start := time.Now()
 	err := v.Seed(db)
 	if err != nil {
 		m.Deny(key)
 	} else {
-		m.Admit(key, v, info)
+		m.Admit(key, v, info, cost)
 	}
 	m.seedFetched.Add(v.seedFetched)
 	m.seedScanned.Add(v.seedScanned)
@@ -278,20 +336,10 @@ func (m *Manager) rerouteLocked(e *entry, add bool) {
 	m.byRel.Store(&next)
 }
 
-// evictLocked removes the lowest-benefit view: minimum serve count, least
-// recently served on ties. Called with m.mu held exclusively.
+// evictLocked removes the gate's victim (victimLocked). Called with m.mu
+// held exclusively.
 func (m *Manager) evictLocked() {
-	var victim *entry
-	for _, e := range m.views {
-		if victim == nil {
-			victim = e
-			continue
-		}
-		eh, vh := e.hits.Load(), victim.hits.Load()
-		if eh < vh || (eh == vh && e.last.Load() < victim.last.Load()) {
-			victim = e
-		}
-	}
+	victim, _ := m.victimLocked()
 	if victim == nil {
 		return
 	}
@@ -355,6 +403,7 @@ func (m *Manager) Stats() Stats {
 		Admitted:     m.admitted.Load(),
 		Evicted:      m.evicted.Load(),
 		Purged:       m.purged.Load(),
+		Rejected:     m.rejected.Load(),
 		Hits:         m.hits.Load(),
 		DeltaApplies: m.deltaApplies.Load(),
 		Fallbacks:    m.fallbacks.Load(),

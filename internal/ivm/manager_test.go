@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ra"
@@ -13,7 +16,7 @@ import (
 
 // mkView materializes a trivial single-relation view the manager tests
 // can admit; each call gets its own db so views are independent.
-func mkView(t *testing.T) *View {
+func mkView(t testing.TB) *View {
 	t.Helper()
 	s := ra.Schema{"r": {"a"}}
 	db := store.NewDB(s)
@@ -39,7 +42,7 @@ func TestManagerBudgetNeverExceeded(t *testing.T) {
 	for _, budget := range []int{1, 3, 8} {
 		m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0, MaxViewRows: 0})
 		for i := 0; i < 4*budget; i++ {
-			m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil)
+			m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil, 1)
 			// Random serves shuffle the benefit ordering between admissions.
 			for j := 0; j < rng.Intn(4); j++ {
 				m.Serve(fmt.Sprintf("k%d", rng.Intn(i+1)))
@@ -59,32 +62,35 @@ func TestManagerBudgetNeverExceeded(t *testing.T) {
 }
 
 // TestManagerEvictionByBenefit is the eviction-order property: the victim
-// is always the least-served view, least recently served on ties.
+// is the view of lowest decayed frequency × cost, the least recently
+// served among equals.
 func TestManagerEvictionByBenefit(t *testing.T) {
 	m := NewManager(Config{Budget: 3, MinHits: 1, MinScore: 0})
-	for _, k := range []string{"cold", "warm", "hot"} {
-		m.Admit(k, mkView(t), nil)
-	}
-	m.Serve("hot")
-	m.Serve("hot")
+	m.Admit("cold", mkView(t), nil, 1)
+	m.Admit("warm", mkView(t), nil, 1)
+	m.Admit("pricey", mkView(t), nil, 10)
 	m.Serve("warm")
-	m.Admit("new", mkView(t), nil) // evicts "cold": zero serves
+	m.Serve("warm")
+	m.Serve("pricey")
+	// Worth: cold 0×1, warm 2×1, pricey 1×10.
+	m.Admit("new", mkView(t), nil, 1)
 	if m.Has("cold") {
-		t.Fatal("cold should have been evicted first (fewest serves)")
+		t.Fatal("cold should have been evicted first (never read)")
 	}
-	for _, k := range []string{"warm", "hot", "new"} {
+	m.Serve("new")
+	m.Serve("new")
+	// warm and new are both worth 2×1; warm was served last before new
+	// was admitted, so it is the least recently served of the tie.
+	m.Admit("cold", mkView(t), nil, 1)
+	if m.Has("warm") {
+		t.Fatal("warm should have lost the tie to the more recently served new")
+	}
+	// Frequency × cost, not frequency: pricey was read once, but each read
+	// is worth ten of the others'.
+	for _, k := range []string{"pricey", "new", "cold"} {
 		if !m.Has(k) {
 			t.Fatalf("%s should have survived", k)
 		}
-	}
-	// new and a re-admitted cold both have zero serves; cold's admission
-	// is more recent, so new (older last-use) is the tie-break victim.
-	m.Admit("cold", mkView(t), nil) // evicts new: zero serves, oldest
-	if m.Has("new") {
-		t.Fatal("new should have lost the zero-serve tie (least recently used)")
-	}
-	if !m.Has("cold") {
-		t.Fatal("cold should be live again")
 	}
 }
 
@@ -96,7 +102,7 @@ func TestManagerPurgeAll(t *testing.T) {
 	keys := make([]string, 10)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
-		m.Admit(keys[i], mkView(t), nil)
+		m.Admit(keys[i], mkView(t), nil, 1)
 		if rng.Intn(2) == 0 {
 			m.Serve(keys[i])
 		}
@@ -136,7 +142,7 @@ func TestManagerAdmission(t *testing.T) {
 	if !m.ShouldAdmit("k", 3, 10) {
 		t.Fatal("3 hits × cost 10 = 30 should admit")
 	}
-	m.Admit("k", mkView(t), nil)
+	m.Admit("k", mkView(t), nil, 1)
 	if m.ShouldAdmit("k", 100, 100) {
 		t.Fatal("re-admitted a live key")
 	}
@@ -166,8 +172,8 @@ func TestManagerFallbackDropsView(t *testing.T) {
 	}
 	healthy := mkView(t)
 	m := NewManager(Config{Budget: 4, MinHits: 1, MinScore: 0})
-	m.Admit("capped", capped, nil)
-	m.Admit("healthy", healthy, nil)
+	m.Admit("capped", capped, nil, 1)
+	m.Admit("healthy", healthy, nil, 1)
 	ops := []store.TupleOp{
 		{Rel: "r", T: value.Tuple{value.NewInt(1)}},
 		{Rel: "r", T: value.Tuple{value.NewInt(2)}},
@@ -196,7 +202,7 @@ func TestManagerTracks(t *testing.T) {
 	if m.Tracks("r") {
 		t.Fatal("empty manager tracks r")
 	}
-	m.Admit("k", mkView(t), nil)
+	m.Admit("k", mkView(t), nil, 1)
 	if !m.Tracks("r") {
 		t.Fatal("admitted view over r not tracked")
 	}
@@ -229,7 +235,7 @@ func TestManagerInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install("ok", v, db, "info"); err != nil {
+	if err := m.Install("ok", v, db, "info", 1); err != nil {
 		t.Fatal(err)
 	}
 	if tbl, info, ok := m.Serve("ok"); !ok || info != "info" || tbl.Len() != 2 {
@@ -239,7 +245,7 @@ func TestManagerInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install("big", small, db, nil); !errors.Is(err, ErrViewTooLarge) {
+	if err := m.Install("big", small, db, nil, 1); !errors.Is(err, ErrViewTooLarge) {
 		t.Fatalf("Install over the row cap = %v, want ErrViewTooLarge", err)
 	}
 	if m.Has("big") || !m.Denied("big") {
@@ -262,7 +268,7 @@ func TestManagerInstall(t *testing.T) {
 func TestManagerWriteRoute(t *testing.T) {
 	m := NewManager(Config{Budget: 2, MinHits: 1, MinScore: 0})
 	for i := 0; i < 5; i++ { // three of the five are evicted again
-		m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil)
+		m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil, 1)
 	}
 	if got := len((*m.byRel.Load())["r"]); got != 2 {
 		t.Fatalf("route for r lists %d views, want the 2 live ones", got)
@@ -301,7 +307,7 @@ func BenchmarkManagerOnWrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m.Install(fmt.Sprint(i), v, db, nil); err != nil {
+		if err := m.Install(fmt.Sprint(i), v, db, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,5 +328,304 @@ func BenchmarkManagerOnWrite(b *testing.B) {
 				m.OnWrite(bc.ops)
 			}
 		})
+	}
+}
+
+// gateRead is one engine-style read of key: Serve, and on a miss the
+// admission check and, when it passes, the admission of v at cost. It
+// reports whether the read was served and whether it admitted a view.
+func gateRead(m *Manager, key string, cost float64, v *View) (served, admitted bool) {
+	if _, _, ok := m.Serve(key); ok {
+		return true, false
+	}
+	if !m.ShouldAdmit(key, 1, cost) {
+		return false, false
+	}
+	m.Admit(key, v, nil, cost)
+	return false, true
+}
+
+// TestManagerAdmissionGate pins the displacement gate's three behaviours:
+// (a) a working set larger than the budget at even heat does not churn,
+// (b) a hot set that moves is still admitted within a few reads, and
+// (c) a resident that was hot long ago and then went silent decays out
+// instead of outranking every newcomer forever.
+func TestManagerAdmissionGate(t *testing.T) {
+	const budget = 8
+	v := mkView(t)
+	rng := rand.New(rand.NewSource(11))
+	m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
+	period := int(m.freq.period)
+	uniform := make([]string, 4*budget)
+	for i := range uniform {
+		uniform[i] = fmt.Sprintf("u%d", i)
+	}
+	// The fill: free slots admit on the plain formula, and the gate then
+	// settles which of the equally hot keys hold them.
+	for i := 0; i < 2*period; i++ {
+		gateRead(m, uniform[rng.Intn(len(uniform))], 1, v)
+	}
+	if m.Len() != budget {
+		t.Fatalf("%d views live after the fill, want %d", m.Len(), budget)
+	}
+	// (a) Even heat: 0 admissions in 20 000 reads, every one a refusal the
+	// operator can see.
+	before := m.Stats()
+	for i := 0; i < 20000; i++ {
+		gateRead(m, uniform[rng.Intn(len(uniform))], 1, v)
+	}
+	st := m.Stats()
+	if n := st.Admitted - before.Admitted; n != 0 {
+		t.Fatalf("uniform reads over %d equal-cost keys churned %d admissions", len(uniform), n)
+	}
+	if st.Rejected == before.Rejected {
+		t.Fatal("the gate never refused a candidate")
+	}
+	// (b) The hot set moves to 4 new keys: they displace the old residents
+	// and serve nearly every read.
+	hot := []string{"h0", "h1", "h2", "h3"}
+	served := 0
+	for i := 0; i < 5000; i++ {
+		if ok, _ := gateRead(m, hot[rng.Intn(len(hot))], 1, v); ok {
+			served++
+		}
+	}
+	if served < 4500 {
+		t.Fatalf("the new hot set served %d of 5000 reads, want >= 4500", served)
+	}
+	// (c) Hot once, then silent for eight halving periods.
+	m = NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
+	for i := 0; i < period; i++ {
+		gateRead(m, "old", 1, v)
+	}
+	others := uniform[:2*budget]
+	for i := 0; i < 8*period; i++ {
+		gateRead(m, others[rng.Intn(len(others))], 1, v)
+	}
+	if m.Has("old") {
+		t.Fatal("a resident silent for eight halving periods still holds its view")
+	}
+}
+
+// TestManagerSketch is the frequency sketch's property: within one halving
+// period no estimate falls below the key's true count, and a halving —
+// explicit, or the one the period's last add triggers — halves every
+// counter.
+func TestManagerSketch(t *testing.T) {
+	s := newSketch(8)
+	rng := rand.New(rand.NewSource(3))
+	// More keys than counters per row, Zipf-skewed: cells are shared.
+	keys := make([]string, 4*s.width)
+	for i := range keys {
+		keys[i] = fmt.Sprint(i)
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(keys)-1))
+	truth := map[string]uint32{}
+	for i := int64(1); i < s.period; i++ {
+		k := keys[zipf.Uint64()]
+		s.add(sketchHash(k))
+		truth[k]++
+	}
+	for k, n := range truth {
+		if est := s.estimate(sketchHash(k)); est < n {
+			t.Fatalf("key %s: estimate %d below its true count %d", k, est, n)
+		}
+	}
+	before := make([]uint32, len(s.cells))
+	for i := range s.cells {
+		before[i] = s.cells[i].Load()
+	}
+	s.halve()
+	for i := range s.cells {
+		if got := s.cells[i].Load(); got != before[i]/2 {
+			t.Fatalf("cell %d: %d after halving %d", i, got, before[i])
+		}
+	}
+	fresh := newSketch(8)
+	h := sketchHash("k")
+	for i := int64(1); i < fresh.period; i++ {
+		fresh.add(h)
+	}
+	if est := fresh.estimate(h); est != uint32(fresh.period-1) {
+		t.Fatalf("a lone key read %d times estimates %d", fresh.period-1, est)
+	}
+	fresh.add(h)
+	if est := fresh.estimate(h); est != uint32(fresh.period/2) {
+		t.Fatalf("the period's last add left %d, want the halved %d", est, fresh.period/2)
+	}
+}
+
+// fullManager returns a manager holding a full budget of 64 views — one
+// view shared by 64 keys of costs 1..64, each read once — and their keys,
+// shaped like an engine's view keys (option prefix + 64 hex digits).
+func fullManager(tb testing.TB) (*Manager, []string) {
+	m := NewManager(Config{Budget: 64, MinHits: 1, MinScore: 0})
+	v := mkView(tb)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mtrue|rtrue|%064x", i)
+		m.Admit(keys[i], v, nil, float64(i+1))
+		m.Serve(keys[i])
+	}
+	return m, keys
+}
+
+// TestManagerHotPathAllocs pins what the gate adds to every read: Serve,
+// hit or miss, and ShouldAdmit against a full budget of 64 (the victim
+// scan included) allocate nothing.
+func TestManagerHotPathAllocs(t *testing.T) {
+	m, keys := fullManager(t)
+	for name, read := range map[string]func(){
+		"Serve hit":  func() { m.Serve(keys[7]) },
+		"Serve miss": func() { m.Serve("absent") },
+		"ShouldAdmit": func() {
+			if m.ShouldAdmit("unread", 10, 1) {
+				t.Fatal("a candidate never read displaced a resident")
+			}
+		},
+	} {
+		if a := testing.AllocsPerRun(100, read); a != 0 {
+			t.Fatalf("%s allocates %.0f times", name, a)
+		}
+	}
+}
+
+// BenchmarkManagerServe prices the read path with 64 live views (run with
+// -benchmem): "hit" serves a view and "miss" finds none — both count the
+// read in the frequency sketch — and "admit" is the full-budget admission
+// check a plan-cache hit runs after a miss, victim scan included.
+func BenchmarkManagerServe(b *testing.B) {
+	m, keys := fullManager(b)
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			m.Serve(keys[i%len(keys)])
+			i++
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.Serve("absent")
+		}
+	})
+	b.Run("admit", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.ShouldAdmit("unread", 10, 1)
+		}
+	})
+}
+
+// TestManagerDenyOverflow: a full negative cache still records a new
+// denial, dropping an old one to make room, instead of silently forgetting
+// it (and rebuilding that view under the write fence on every repeat).
+func TestManagerDenyOverflow(t *testing.T) {
+	m := NewManager(Config{Budget: 4, MinHits: 1, MinScore: 0})
+	for i := 0; i < maxDenied; i++ {
+		m.Deny(fmt.Sprint(i))
+	}
+	m.Deny("x")
+	if !m.Denied("x") {
+		t.Fatal("a denial into a full cache was not recorded")
+	}
+	if len(m.deny) > maxDenied {
+		t.Fatalf("the denial cache grew to %d past its bound %d", len(m.deny), maxDenied)
+	}
+	m.Deny("x")
+	if len(m.deny) != maxDenied {
+		t.Fatalf("re-denying a recorded key dropped another: %d entries", len(m.deny))
+	}
+}
+
+// TestManagerGateStorm runs Serve, ShouldAdmit, Install and PurgeAll from
+// several goroutines at once with a budget of 4, so the sketch halves every
+// 512 reads and does so many times: the budget is never exceeded, and no
+// view installed before a PurgeAll returned is served after it. Installs
+// and purges are ordered by an RWMutex like the engine's own lock (installs
+// shared, purges exclusive); each view's info is the count of purges
+// completed when it was installed.
+func TestManagerGateStorm(t *testing.T) {
+	const budget, readers, reads = 4, 4, 3000
+	s := ra.Schema{"r": {"a", "b"}}
+	db := store.NewDB(s)
+	for i := int64(0); i < 8; i++ {
+		if _, err := db.Insert("r", value.Tuple{value.NewInt(i), value.NewInt(i % 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	norm, err := ra.Normalize(ra.Proj(ra.Sel(ra.R("r", "r1"), ra.EqC(ra.A("r1", "b"), value.NewInt(1))), ra.A("r1", "a")), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 3*budget)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
+	var (
+		fence sync.RWMutex
+		purge atomic.Int64
+		wg    sync.WaitGroup
+	)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(keys)-1))
+			for i := 0; i < reads; i++ {
+				// The hot set shifts every 500 reads, so admissions and
+				// evictions keep happening.
+				k := (int(zipf.Uint64()) + i/500) % len(keys)
+				seen := purge.Load()
+				if _, info, ok := m.Serve(keys[k]); ok {
+					if info.(int64) < seen {
+						t.Errorf("%s: a view installed before purge %d was served after it", keys[k], seen)
+						return
+					}
+					continue
+				}
+				cost := float64(1 + k%5)
+				if !m.ShouldAdmit(keys[k], 1, cost) {
+					continue
+				}
+				v, err := Build(norm, s, nil, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fence.RLock()
+				err = m.Install(keys[k], v, db, purge.Load(), cost)
+				fence.RUnlock()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n := m.Len(); n > budget {
+					t.Errorf("%d views live, budget %d", n, budget)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			fence.Lock()
+			m.PurgeAll()
+			purge.Add(1)
+			fence.Unlock()
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	if halvings := m.freq.adds.Load() / m.freq.period; halvings < 10 {
+		t.Fatalf("the sketch halved %d times, want a storm spanning many halvings", halvings)
+	}
+	if st := m.Stats(); st.Admitted == 0 || st.Rejected == 0 || st.Purged == 0 {
+		t.Fatalf("the storm did not exercise admission, the gate and purges: %+v", st)
 	}
 }

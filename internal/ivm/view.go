@@ -7,8 +7,11 @@
 // a hot fingerprint becomes a pointer load of the last published answer
 // snapshot instead of a plan execution. The Manager decides which
 // fingerprints earn a view (repeat count × measured execution cost),
-// bounds how many live at once, evicts by benefit, and purges everything
-// on access-schema generation bumps.
+// bounds how many live at once, and — with the budget full — admits a
+// candidate only when its decayed read frequency × cost is more than
+// twice that of the resident it displaces (a TinyLFU-style gate over a
+// count-min sketch); it purges everything on access-schema generation
+// bumps.
 package ivm
 
 import (

@@ -759,6 +759,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Admitted:     st.Admitted,
 				Evicted:      st.Evicted,
 				Purged:       st.Purged,
+				Rejected:     st.Rejected,
 				Hits:         st.Hits,
 				DeltaApplies: st.DeltaApplies,
 				Fallbacks:    st.Fallbacks,

@@ -473,7 +473,7 @@ func TestIVMStatsAndMaterializedFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"seedFetched":`, `"seedScanned":`, `"buildMicros":`} {
+	for _, key := range []string{`"rejected":`, `"seedFetched":`, `"seedScanned":`, `"buildMicros":`} {
 		if !strings.Contains(string(raw), key) {
 			t.Fatalf("ivm block lacks %s: %s", key, raw)
 		}

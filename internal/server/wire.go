@@ -282,10 +282,13 @@ type IVMStatsWire struct {
 	// ceiling (summed across engines on a sharded cluster).
 	Materialized int `json:"materialized"`
 	Budget       int `json:"budget"`
-	// Admitted / Evicted / Purged count view lifecycle events.
+	// Admitted / Evicted / Purged count view lifecycle events; Rejected
+	// counts candidates the admission gate kept out of a full budget
+	// because they were worth less than twice the view they would evict.
 	Admitted int64 `json:"admitted"`
 	Evicted  int64 `json:"evicted,omitempty"`
 	Purged   int64 `json:"purged,omitempty"`
+	Rejected int64 `json:"rejected"`
 	// Hits counts answers served straight from a view; DeltaApplies
 	// counts tuple writes folded into views.
 	Hits         int64 `json:"hits"`
