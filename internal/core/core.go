@@ -372,12 +372,12 @@ func (e *Engine) cacheKeyLocked(fp string, opts Options) string {
 // Report.Bounded is set to the coverage verdict, anticipating the bounded
 // path a covered execution would take.
 //
-// The sharded router's residue executor calls it on one shard engine to
-// obtain the verdict a full-copy engine would have reported for a
-// non-distributable query — sound because compilation is data-independent
-// and every engine of a healthy cluster carries the same access schema —
-// then evaluates the query by shipping sub-plans instead of owning the
-// data. fp follows the ExecuteNormalized contract.
+// The sharded router calls it on one shard engine for a non-distributable
+// query to obtain the verdict and plan a full-copy engine would have used
+// — sound because compilation is data-independent and every engine of a
+// healthy cluster carries the same access schema — then runs that plan
+// over fetches routed to the shards that hold the data. fp follows the
+// ExecuteNormalized contract.
 func (e *Engine) Analyze(norm ra.Query, fp string, opts Options) (*Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

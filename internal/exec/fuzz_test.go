@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/cover"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -51,7 +52,8 @@ func batchFuzzHarness() *batchFuzzHarnessT {
 // every observable: bounded answers, baseline answers, and the access
 // statistics both report. A covered query must also keep the paper's bound
 // at run time: no scans, a fetch count equal to the store's own counter
-// delta, and no more accesses than the plan's static bound.
+// delta, and no more accesses than the plan's static bound; and Run over
+// a Source wrapping the store must match Run over the store itself.
 func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 	t.Helper()
 	h := batchFuzzHarness()
@@ -121,6 +123,31 @@ func checkBatchLegacy(t *testing.T, seed int64, sel, join, unidiff uint8) {
 	if bound := p.MaxAccessBound(); gotSt.Accessed > bound {
 		t.Fatalf("bounded run of %s accessed %d tuples, above the plan's bound %d\nplan:\n%s", q, gotSt.Accessed, bound, p)
 	}
+	// The same plan over a Source that is not a *store.DB takes the
+	// interface path of every fetch; answer and access counts must not move.
+	via, viaSt, err := exec.Run(p, passThrough{h.db})
+	if err != nil {
+		t.Fatalf("run of %s over a pass-through source: %v", q, err)
+	}
+	if !via.Equal(got) {
+		t.Fatalf("pass-through answer divergence on %s: %d rows vs %d\n%s", q, via.Len(), got.Len(), rowDiff(via, got))
+	}
+	viaSt.Duration, gotSt.Duration = 0, 0
+	if viaSt != gotSt {
+		t.Fatalf("pass-through stats divergence on %s: %+v vs %+v", q, viaSt, gotSt)
+	}
+}
+
+// passThrough hides a *store.DB behind exec.Source, so Run cannot take its
+// concrete fast path and every batch goes through the interface.
+type passThrough struct{ db *store.DB }
+
+func (s passThrough) Fetch(c access.Constraint, xvals value.Tuple) ([]value.Tuple, error) {
+	return s.db.Fetch(c, xvals)
+}
+
+func (s passThrough) FetchBatch(c access.Constraint, xs []value.Tuple, emit func(int, []value.Tuple)) error {
+	return s.db.FetchBatch(c, xs, emit)
 }
 
 // rowDiff renders the smallest repair that reconciles two answers: the

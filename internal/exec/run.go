@@ -4,10 +4,26 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/plan"
 	"repro/internal/store"
 	"repro/internal/value"
 )
+
+// Source is where a plan's fetch steps read index buckets from. *store.DB
+// is the single-engine source; the sharded router supplies one that routes
+// each fetch to the members holding the bucket.
+//
+// Fetch returns the bucket of X value xvals in the index for c (xvals is
+// nil when c.X is empty). FetchBatch calls emit(i, rows) once for every
+// probe xs[i], in any order; rows may be reused after emit returns. Both
+// must return each bucket's distinct rows in plan.IndexCols(c) layout, so
+// Run can charge accesses exactly as the store does: one per row, or one
+// for an empty probe.
+type Source interface {
+	Fetch(c access.Constraint, xvals value.Tuple) ([]value.Tuple, error)
+	FetchBatch(c access.Constraint, xs []value.Tuple, emit func(i int, rows []value.Tuple)) error
+}
 
 // Stats reports the cost of an evaluation.
 type Stats struct {
@@ -41,14 +57,18 @@ func (c *accCounter) stats(start time.Time, planLen int) Stats {
 	}
 }
 
-// Run executes a bounded query plan against db (evalQP). Indices for every
-// constraint referenced by fetch steps must have been built.
+// Run executes a bounded query plan over src (evalQP): a *store.DB on one
+// engine, or the sharded router's routed source, which sends every fetch
+// to the members holding its bucket. Every constraint referenced by fetch
+// steps must have an index behind src. Stats are counted from the rows
+// src hands back, so they are the same whichever source serves the
+// buckets.
 //
 // Execution is columnar: every step produces an arena-backed batch table,
 // the result is detached into self-contained heap storage, and the arena
 // returns to its pool — so a steady-state run performs no per-tuple
 // allocation. Steps run in plan order on the calling goroutine.
-func Run(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
+func Run(p *plan.Plan, src Source) (*Table, Stats, error) {
 	start := time.Now()
 	var acc accCounter
 	a := getArena()
@@ -56,7 +76,7 @@ func Run(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
 	ctx := &evalCtx{a: a, in: a.in, acc: &acc}
 	tables := make([]*Table, len(p.Steps))
 	for i := range p.Steps {
-		t, err := runStep(ctx, p, &p.Steps[i], tables, db)
+		t, err := runStep(ctx, p, &p.Steps[i], tables, src)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("exec: step T%d (%s): %w", i, p.Steps[i].Op, err)
 		}
@@ -70,7 +90,7 @@ func Run(p *plan.Plan, db *store.DB) (*Table, Stats, error) {
 // operator maintains the invariant that step outputs are duplicate-free:
 // Const/Fetch/Project/Union deduplicate explicitly, and
 // Filter/Product/Join/Diff preserve distinctness of distinct inputs.
-func runStep(ctx *evalCtx, p *plan.Plan, s *plan.Step, tables []*Table, db *store.DB) (*Table, error) {
+func runStep(ctx *evalCtx, p *plan.Plan, s *plan.Step, tables []*Table, src Source) (*Table, error) {
 	switch s.Op {
 	case plan.OpConst:
 		t := newCtxTable(ctx, s.Cols, len(s.Rows))
@@ -84,7 +104,7 @@ func runStep(ctx *evalCtx, p *plan.Plan, s *plan.Step, tables []*Table, db *stor
 		return t, nil
 
 	case plan.OpFetch:
-		return runFetch(ctx, s, tables, db)
+		return runFetch(ctx, s, tables, src)
 
 	case plan.OpProject:
 		in := tables[s.L]
@@ -245,13 +265,13 @@ func colIndex(cols []string, label string) int {
 }
 
 // runFetch implements the fetch operator: the distinct X values of the
-// input batch are computed column-wise, all index probes for the batch run
-// under one store lock acquisition (store.FetchBatch), and fetched tuples
-// are interned and emitted with intra-class equality and constant bindings
-// enforced — the same per-tuple semantics as the tuple-at-a-time reference
-// evaluator the fuzz wall compares against, with identical access
-// accounting.
-func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table, error) {
+// input batch are computed column-wise, all index probes for the batch go
+// to src in one FetchBatch (one store lock acquisition on a *store.DB),
+// and fetched tuples are interned and emitted with intra-class equality
+// and constant bindings enforced — the same per-tuple semantics as the
+// tuple-at-a-time reference evaluator the fuzz wall compares against, with
+// identical access accounting.
+func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, src Source) (*Table, error) {
 	out := newCtxTable(ctx, s.Cols, 0)
 	out.initSet(16)
 
@@ -318,7 +338,7 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 	}
 
 	if len(s.XCols) == 0 {
-		fetched, err := db.Fetch(s.Con, nil)
+		fetched, err := src.Fetch(s.Con, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -346,14 +366,40 @@ func runFetch(ctx *evalCtx, s *plan.Step, tables []*Table, db *store.DB) (*Table
 		}
 		xs[k] = row
 	}
-	err := db.FetchBatch(s.Con, xs, func(_ int, fetched []value.Tuple) {
-		countFetch(fetched)
-		emit(fetched)
-	})
+	if db, ok := src.(*store.DB); ok {
+		// The concrete call keeps this callback off the heap; through the
+		// interface it would escape, and take the closures it calls along.
+		err := db.FetchBatch(s.Con, xs, func(_ int, fetched []value.Tuple) {
+			countFetch(fetched)
+			emit(fetched)
+		})
+		return out, err
+	}
+	rows, spans, err := fetchBuffered(src, s.Con, xs)
 	if err != nil {
 		return nil, err
 	}
+	for _, sp := range spans {
+		fetched := rows[sp[0]:sp[1]]
+		countFetch(fetched)
+		emit(fetched)
+	}
 	return out, nil
+}
+
+// fetchBuffered runs one FetchBatch through a Source other than *store.DB
+// and returns every probe's rows as a span of one flat slice. Its callback
+// escapes through the interface, so it captures only these buffers, never
+// runFetch's state.
+func fetchBuffered(src Source, c access.Constraint, xs []value.Tuple) ([]value.Tuple, [][2]int, error) {
+	var rows []value.Tuple
+	spans := make([][2]int, len(xs))
+	err := src.FetchBatch(c, xs, func(i int, fetched []value.Tuple) {
+		spans[i][0] = len(rows)
+		rows = append(rows, fetched...)
+		spans[i][1] = len(rows)
+	})
+	return rows, spans, err
 }
 
 // natJoinCtx computes the natural join of two batches sharing the

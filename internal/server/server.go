@@ -729,6 +729,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BroadcastRels: rd.BroadcastRels,
 			Repartitions:  rd.Repartitions,
 			BytesShipped:  rd.BytesShipped,
+			Evaluated:     rd.Evaluated,
 		}
 	}
 	var duraW *DurabilityWire

@@ -53,7 +53,8 @@ func TestServerOverShardedRouter(t *testing.T) {
 		`q(airline) :- ontime(f, 42, d, airline, m, delay)`,                                             // single-shard fast path
 		`q(origin, dest) :- ontime(f, origin, dest, 3, m, delay)`,                                       // scatter, uncovered
 		`q(city) :- ontime(123, origin, dest, al, m, delay), airport(origin, city, st)`,                 // scatter, covered
-		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`, // distributed residue
+		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`, // residue, covered: routed plan
+		`q(origin, cause) :- ontime(f, origin, d, al, m, delay), delaycause(f, cause, mins)`,            // residue, uncovered: evaluator
 	}
 	for _, src := range queries {
 		want, err := singleCli.Query(ctx, src)
@@ -147,6 +148,11 @@ func TestServerOverShardedRouter(t *testing.T) {
 	}
 	if stats.Residue.SemiJoins < 0 || stats.Residue.Shuffles < 0 || stats.Residue.BytesShipped < 0 {
 		t.Errorf("implausible residue counters: %+v", stats.Residue)
+	}
+	// Of the two residue probes only the uncovered one runs through the
+	// conventional evaluator.
+	if stats.Residue.Evaluated != 1 {
+		t.Errorf("residue.evaluated = %d, want 1 (the uncovered residue probe)", stats.Residue.Evaluated)
 	}
 	if sstats.Apply != nil || sstats.Routes != nil || sstats.Residue != nil {
 		t.Errorf("single-engine stats unexpectedly carries write-path blocks: apply=%+v routes=%+v residue=%+v",

@@ -355,8 +355,7 @@ type ApplyStatsWire struct {
 // RouteStatsWire is the routing-decision breakdown in GET /stats.
 type RouteStatsWire struct {
 	// Single counts single-shard executions; Scattered full
-	// scatter/gather executions; Residue executions decomposed by the
-	// distributed residue executor.
+	// scatter/gather executions; Residue residue-routed executions.
 	Single    int64 `json:"single"`
 	Scattered int64 `json:"scattered"`
 	Residue   int64 `json:"residue"`
@@ -380,6 +379,10 @@ type ResidueStatsWire struct {
 	// BytesShipped is the encoded row volume handed to shuffle buckets —
 	// the traffic the shuffles would put on the wire across nodes.
 	BytesShipped int64 `json:"bytesShipped"`
+	// Evaluated counts residue-routed queries answered by the conventional
+	// evaluator instead of a bounded plan: uncovered queries admitted by
+	// the baseline fallback.
+	Evaluated int64 `json:"evaluated"`
 }
 
 // ShardStatsWire is one engine of a sharded cluster in GET /stats.

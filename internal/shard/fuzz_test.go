@@ -153,11 +153,12 @@ func FuzzRouteDecision(f *testing.F) {
 	})
 }
 
-// FuzzResiduePlan targets the distributed residue executor: generator
-// queries biased toward non-distributable shapes (cross-key joins,
-// unions and differences over partitioned relations) run against every
-// ring state — one shard, several, a resharded cluster, and one frozen
-// mid-copy — and must reproduce the single-engine oracle exactly.
+// FuzzResiduePlan targets residue routes: generator queries biased toward
+// non-distributable shapes (cross-key joins, unions and differences over
+// partitioned relations) run against every ring state — one shard,
+// several, a resharded cluster, and one frozen mid-copy — and must
+// reproduce the single-engine oracle exactly; a covered one must also run
+// bounded and read exactly the tuples the oracle's plan reads.
 // Where FuzzRouteDecision mutates query text, this fuzzer drives the
 // generator's parameter space, so every input is a well-formed query
 // and the residue planner/executor, not the parser, absorbs the
@@ -186,7 +187,8 @@ func FuzzResiduePlan(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if _, err := router.RouteKind(q); err != nil {
+		kind, err := router.RouteKind(q)
+		if err != nil {
 			t.Fatalf("RouteKind failed on a generator query: %v", err)
 		}
 		want, wantRep, errO := h.oracle.Execute(q, core.DefaultOptions())
@@ -204,6 +206,9 @@ func FuzzResiduePlan(f *testing.F) {
 		if wantRep.Covered != gotRep.Covered || wantRep.Bounded != gotRep.Bounded {
 			t.Fatalf("verdict divergence on %q: covered %v/%v bounded %v/%v",
 				q.String(), gotRep.Covered, wantRep.Covered, gotRep.Bounded, wantRep.Bounded)
+		}
+		if err := routedParity(kind, wantRep, gotRep); err != nil {
+			t.Fatalf("%q (router %s): %v", q.String(), router, err)
 		}
 	})
 }

@@ -1,6 +1,12 @@
-// Distributed residue execution: evaluating queries whose shape does not
-// distribute as a whole, without any engine that holds a full copy of the
-// database. The router decomposes the normalized query by the same
+// Residue execution: answering queries whose shape does not distribute as
+// a whole, without any engine that holds a full copy of the database.
+//
+// A covered residue query runs the anchor's bounded plan at the router
+// over routed fetches (source.go, execResidue below): it reads exactly the
+// tuples a single engine's plan reads, and its report is that engine's.
+// The conventional evaluator in this file (and shuffle.go) serves only
+// uncovered queries under Options.FallbackToBaseline, each counted in
+// ResidueStats.Evaluated. It decomposes the normalized query by the same
 // per-subtree classification routing uses (dist in route.go):
 //
 //   - a complete subtree (only broadcast relations below) is shipped to
@@ -40,17 +46,18 @@
 //
 // # Consistency
 //
-// The executor runs under the router's read fence (Execute holds rs
-// shared) with one ring state and one placement state captured for the
-// whole query, and Execute fences the apply-queue lanes of every
-// broadcast relation the query reads before evaluation starts. A
+// Both paths run under the router's read fence (Execute holds rs shared)
+// with one ring state and one placement state captured for the whole
+// query, and Execute fences the apply-queue lanes of every broadcast
+// relation the query reads before evaluation starts. A
 // placement move (move.go) drains readers after its flip and before its
 // sweep, so every member set the executor unions over holds a complete —
-// possibly surplus, never deficient — cover of each subtree's data, and
-// set-union merging makes surplus copies harmless.
+// possibly surplus, never deficient — cover of each subtree's data (or
+// fetch bucket), and set-union merging makes surplus copies harmless.
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -60,22 +67,42 @@ import (
 	"repro/internal/ra"
 )
 
-// execResidue answers a query routed to the distributed residue executor.
-// The report mirrors a single engine's: the routing anchor analyzes the
-// query once (coverage verdicts are data-independent, so any member's
-// verdict is the cluster's), uncovered queries fail with
-// core.ErrNotCovered exactly like a single engine unless the baseline
-// fallback is on, and the stats aggregate the work of every shipped
-// subtree.
+// execResidue answers a query routed as residue. The routing anchor
+// analyzes the query once (coverage verdicts and plans are
+// data-independent, so any member's compile is the cluster's, and the
+// anchor's plan cache keeps it). A covered query runs that bounded plan at
+// the router over routed fetches (source.go), so its report, answer and
+// access count are a single engine's. An uncovered one fails with
+// core.ErrNotCovered exactly like a single engine, or, under the baseline
+// fallback, is decomposed by the conventional evaluator below and counted
+// in ResidueStats.Evaluated.
+//
+// A fetch can meet a member whose index the plan relies on is not there
+// (yet, or any more): constraint changes fan out engine by engine under
+// cmu, outside the read fence. Such a failure while some member's version
+// differs from the plan's returns errSchemaMoved, and Execute routes the
+// query again.
 func (r *Router) execResidue(norm ra.Query, fp string, opts core.Options, st *ringState, ps *partState) (*exec.Table, *core.Report, error) {
 	start := time.Now()
 	rep, err := st.members[0].eng.Analyze(norm, fp, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !rep.Covered && !opts.FallbackToBaseline {
+	if rep.Covered {
+		out, stats, err := exec.Run(rep.Plan, routedSource{st: st, ps: ps})
+		if err != nil {
+			if schemaMoved(st, rep.Version) {
+				return nil, nil, errSchemaMoved
+			}
+			return nil, nil, err
+		}
+		rep.Stats = stats
+		return out, rep, nil
+	}
+	if !opts.FallbackToBaseline {
 		return nil, rep, core.ErrNotCovered
 	}
+	r.resEvaluated.Add(1)
 	re := &residueEval{r: r, st: st, ps: ps, cl: collectClasses(norm)}
 	out, _, err := re.eval(norm)
 	if err != nil {
@@ -84,6 +111,21 @@ func (r *Router) execResidue(norm ra.Query, fp string, opts core.Options, st *ri
 	rep.Stats = re.stats
 	rep.Stats.Duration = time.Since(start)
 	return out, rep, nil
+}
+
+// errSchemaMoved reports that a routed plan failed while a constraint
+// change was part-way through the members.
+var errSchemaMoved = errors.New("shard: access schema changed under a routed plan")
+
+// schemaMoved reports whether any member's access-schema version differs
+// from v, the version a plan was compiled under.
+func schemaMoved(st *ringState, v uint64) bool {
+	for _, m := range st.members {
+		if m.eng.Version() != v {
+			return true
+		}
+	}
+	return false
 }
 
 // residueEval is the per-query state of one residue execution: the

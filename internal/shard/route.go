@@ -1,7 +1,8 @@
 // Routing analysis: decide, per normalized query, whether one shard can
 // answer it exactly, whether scatter/gather over all shards is exact, or
-// whether the query must be decomposed by the distributed residue
-// executor (residue.go).
+// whether it is a residue query, answered at the router (residue.go): a
+// covered one by its bounded plan over routed fetches (source.go), an
+// uncovered one by the conventional residue evaluator.
 //
 // The analysis is conservative — it may send a distributable query to the
 // residue executor, never the reverse — and rests on two facts about hash
@@ -16,9 +17,11 @@
 // right operand reads a partitioned relation (set difference does not
 // distribute over a partition of its right side) and a join of two
 // partitioned relations that is not on their partition keys (matching
-// tuples may live on different shards); both go to the residue executor,
-// which reuses the same dist classification per subtree to ship the
-// distributable pieces and stitch the rest together router-side.
+// tuples may live on different shards); both are residue routes. Their
+// bounded plan needs no classification — each fetch is routed by its own
+// relation's placement — while the evaluator reuses the same dist
+// classification per subtree to ship the distributable pieces and stitch
+// the rest together router-side.
 //
 // The analysis is a pure function of the query, one ring and one
 // placement assignment: decisions are cached per (ring epoch, placement

@@ -46,11 +46,14 @@
 //     scatter cheap: on shards that hold no matching slice of the
 //     partitioned relation, the plan's first fetch comes back empty and
 //     the execution finishes in microseconds.
-//   - distributed residue: queries that neither fast-path nor distribute
-//     as a whole (e.g. a difference whose right side reads a partitioned
-//     relation without binding its key, or a join of two partitioned
-//     relations off their keys) are decomposed by the router
-//     (residue.go): maximal distributable subtrees are shipped to the
+//   - residue: queries that neither fast-path nor distribute as a whole
+//     (e.g. a difference whose right side reads a partitioned relation
+//     without binding its key, or a join of two partitioned relations off
+//     their keys) are answered at the router (residue.go). A covered one
+//     runs its bounded plan there, each fetch sent to the member(s)
+//     holding its index bucket (source.go), so it reads exactly what a
+//     single engine reads. An uncovered one under the baseline fallback
+//     is decomposed: maximal distributable subtrees are shipped to the
 //     shards and unioned, non-co-located joins run as a semi-join
 //     reduction followed by a hash shuffle over the member worker pools
 //     (shuffle.go), and the remaining operators are applied router-side.
@@ -74,6 +77,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -327,6 +331,7 @@ type Router struct {
 	resShuffles     atomic.Int64
 	resRepartitions atomic.Int64
 	resBytesShipped atomic.Int64
+	resEvaluated    atomic.Int64
 
 	// hookMigBatch, when set, runs between a move's copy and sweep
 	// batches. Tests use it to slow or freeze a move deterministically; it
@@ -557,12 +562,28 @@ func (r *Router) Parse(src string) (ra.Query, error) {
 // apply-queue lanes of exactly the broadcast relations the query reads
 // (dec.brels) — acknowledged writes to those relations are applied
 // everywhere first, while backlogs on unrelated relations are left alone.
+//
+// A residue-routed plan that ran into a constraint change still fanning
+// out (errSchemaMoved) is routed once more while holding cmu, which every
+// change holds for its whole fan-out, so the second run sees one schema
+// on every member.
 func (r *Router) Execute(q ra.Query, opts core.Options) (*exec.Table, *core.Report, error) {
 	norm, err := ra.Normalize(q, r.schema)
 	if err != nil {
 		return nil, nil, err
 	}
 	fp := ra.FingerprintNormalized(norm)
+	t, rep, err := r.execute(norm, fp, opts)
+	if errors.Is(err, errSchemaMoved) {
+		r.cmu.Lock()
+		defer r.cmu.Unlock()
+		return r.execute(norm, fp, opts)
+	}
+	return t, rep, err
+}
+
+// execute routes and answers one normalized query under the read fence.
+func (r *Router) execute(norm ra.Query, fp string, opts core.Options) (*exec.Table, *core.Report, error) {
 	r.rs.RLock()
 	defer r.rs.RUnlock()
 	st := r.state.Load()
@@ -1169,9 +1190,8 @@ type RouteStats struct {
 	// Scattered counts scatter/gather executions (each runs on every
 	// shard).
 	Scattered int64
-	// Residue counts executions decomposed by the distributed residue
-	// executor (residue.go) — queries whose shape neither single-shards
-	// nor scatters as a whole.
+	// Residue counts residue-routed executions (residue.go) — queries
+	// whose shape neither single-shards nor scatters as a whole.
 	Residue int64
 }
 
@@ -1184,8 +1204,8 @@ func (r *Router) RouteStats() RouteStats {
 	}
 }
 
-// ResidueStats counts the work of the distributed residue executor and
-// the placement migrator, surfaced by GET /stats.
+// ResidueStats counts the work of the residue evaluator and the placement
+// migrator, surfaced by GET /stats.
 type ResidueStats struct {
 	// SemiJoins counts semi-join reductions applied before a shuffle;
 	// Shuffles counts hash-shuffle joins executed over the member pools.
@@ -1199,6 +1219,10 @@ type ResidueStats struct {
 	// BytesShipped approximates the volume moved between members by
 	// shuffles: the encoded size of every row handed to a shuffle bucket.
 	BytesShipped int64
+	// Evaluated counts residue-routed queries answered by the conventional
+	// evaluator: uncovered queries under Options.FallbackToBaseline.
+	// Covered ones run their bounded plan over routed fetches instead.
+	Evaluated int64
 }
 
 // ResidueStats returns the residue-execution counters.
@@ -1210,6 +1234,7 @@ func (r *Router) ResidueStats() ResidueStats {
 		BroadcastRels: len(r.schema.Relations()) - len(ps.keys),
 		Repartitions:  r.resRepartitions.Load(),
 		BytesShipped:  r.resBytesShipped.Load(),
+		Evaluated:     r.resEvaluated.Load(),
 	}
 }
 
@@ -1237,7 +1262,8 @@ func (r *Router) RouteKind(q ra.Query) (string, error) {
 // PerShardStats returns one observability snapshot per member engine —
 // live shards labeled "shard/i" in order — for the /stats per-shard
 // breakdown. Queries counts executions routed to each engine (including
-// subtree executions shipped by the residue executor); comparing them
+// the fetch batches of routed plans and the subtree executions shipped by
+// the residue evaluator); comparing them
 // across shards exposes routing skew, and comparing DBSize exposes data
 // skew.
 func (r *Router) PerShardStats() []core.EngineStat {

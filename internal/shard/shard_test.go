@@ -40,6 +40,24 @@ func buildPair(t *testing.T, name string, shards int) (*core.Engine, *Router, *w
 	return eng, router, d
 }
 
+// routedParity checks what a covered query routed as residue must keep: it
+// ran as a bounded plan and read exactly the tuples the single engine's
+// plan read. Other routes, uncovered queries and oracle answers served
+// from a view (whose Stats are zero) are not compared.
+func routedParity(kind string, wantRep, gotRep *core.Report) error {
+	if kind != "residue" || !wantRep.Covered || wantRep.Materialized {
+		return nil
+	}
+	if !gotRep.Bounded {
+		return fmt.Errorf("covered residue route reported bounded=false")
+	}
+	if gotRep.Stats.Accessed != wantRep.Stats.Accessed {
+		return fmt.Errorf("covered residue route accessed %d tuples, the single engine %d",
+			gotRep.Stats.Accessed, wantRep.Stats.Accessed)
+	}
+	return nil
+}
+
 // TestShardedDifferential asserts the core guarantee: for every workload
 // template (covered and uncovered) and every shard count, the sharded
 // router returns exactly the single-engine row set and the same coverage
@@ -87,7 +105,8 @@ func TestShardedDifferential(t *testing.T) {
 
 // TestShardedDifferentialRandom widens the differential net beyond the
 // templates: random generator queries (covered or not) must agree with
-// the single engine too.
+// the single engine too, and covered residue routes must read what it
+// reads.
 func TestShardedDifferentialRandom(t *testing.T) {
 	for _, name := range []string{"AIRCA", "TFACC", "MCBM"} {
 		t.Run(name, func(t *testing.T) {
@@ -106,6 +125,10 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d: single engine: %v", i, err)
 				}
+				kind, err := router.RouteKind(q)
+				if err != nil {
+					t.Fatal(err)
+				}
 				got, gotRep, err := router.Execute(q, core.DefaultOptions())
 				if err != nil {
 					t.Fatalf("query %d: sharded: %v", i, err)
@@ -116,6 +139,9 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				}
 				if wantRep.Bounded != gotRep.Bounded {
 					t.Errorf("query %d: bounded verdict %v vs %v", i, wantRep.Bounded, gotRep.Bounded)
+				}
+				if err := routedParity(kind, wantRep, gotRep); err != nil {
+					t.Errorf("query %d (%s): %v", i, q.String(), err)
 				}
 			}
 		})
