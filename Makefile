@@ -93,7 +93,8 @@ bench-serve:
 # migration under load, a write-heavy pair (40% of client ops are tuple
 # writes) that prices the batched broadcast apply queue against the
 # unsharded baseline, and a non-distributable-heavy row (30% of client
-# queries residue-routed) that prices the semi-join/shuffle executor.
+# queries residue-routed) that prices residue routes: bounded plans over
+# routed fetches, and the baseline over routed scans when uncovered.
 bench-shard:
 	$(GO) run ./cmd/boundedctl -op serve -dataset AIRCA -scale 0.1 -ops 20000
 	$(GO) run ./cmd/boundedctl -op serve -dataset AIRCA -scale 0.1 -ops 20000 -transport sharded -shards 1

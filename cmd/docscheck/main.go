@@ -21,7 +21,7 @@
 // monitors),
 // internal/bench (the replay benchmark operators quote numbers from),
 // internal/exec (the vectorized execution core every answer flows
-// through, including the batch operators the residue executor composes)
+// through, including the Source the router's routed reads implement)
 // and internal/value (the value model and handle interning that equality,
 // hashing and key encoding rest on).
 // Everything else under internal/ may evolve faster, but its

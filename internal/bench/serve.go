@@ -85,10 +85,11 @@ type ServeConfig struct {
 	// background Writers churn.
 	WriteMix float64
 	// ResidueMix is the fraction of client query ops (in [0, 1)) drawn from
-	// a pool of non-distributable queries — shapes the router must hand to
-	// the distributed residue executor (semi-join + shuffle) instead of
-	// routing whole. It prices residue decomposition against single-shard
-	// and scatter routing. Requires a sharded serving layer.
+	// a pool of non-distributable queries — shapes the router answers
+	// itself over routed reads (a bounded plan, or the baseline when
+	// uncovered) instead of routing whole. It prices residue routes
+	// against single-shard and scatter routing. Requires a sharded serving
+	// layer.
 	ResidueMix float64
 	// Followers is the number of read replicas behind the follower
 	// transport: reads round-robin across them with a read-your-writes
@@ -241,8 +242,8 @@ func (r *ServeResult) Format(w io.Writer) {
 			r.Shards, r.Routes.Single, r.Routes.Scattered, r.Routes.Residue)
 	}
 	if r.ResidueOps > 0 {
-		fmt.Fprintf(w, "residue\t%d ops at %.0f queries/s (%d semi-joins, %d shuffles, %d bytes shipped, %d broadcast rels)\n",
-			r.ResidueOps, r.ResidueQPS, r.Residue.SemiJoins, r.Residue.Shuffles,
+		fmt.Fprintf(w, "residue\t%d ops at %.0f queries/s (%d evaluated, %d bytes shipped, %d broadcast rels)\n",
+			r.ResidueOps, r.ResidueQPS, r.Residue.Evaluated,
 			r.Residue.BytesShipped, r.Residue.BroadcastRels)
 	}
 	if r.Reshard != nil {
@@ -261,9 +262,9 @@ func (r *ServeResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "mutations\t%d tuple writes during run (%d write ops in the client mix)\n",
 		r.Mutations, r.WriteOps)
 	if r.IVMOn {
-		fmt.Fprintf(w, "ivm\t%d views live (budget %d): %d hits served O(answer), %d delta applies, %d admitted, %d evicted, %d fallbacks, %d denied\n",
+		fmt.Fprintf(w, "ivm\t%d views live (budget %d): %d hits served O(answer), %d delta applies, %d admitted, %d evicted, %d rejected, %d fallbacks, %d denied\n",
 			r.IVM.Materialized, r.IVM.Budget, r.IVM.Hits, r.IVM.DeltaApplies,
-			r.IVM.Admitted, r.IVM.Evicted, r.IVM.Fallbacks, r.IVM.Denied)
+			r.IVM.Admitted, r.IVM.Evicted, r.IVM.Rejected, r.IVM.Fallbacks, r.IVM.Denied)
 	} else {
 		fmt.Fprintf(w, "ivm\toff (plan-cache-only baseline)\n")
 	}

@@ -332,7 +332,7 @@ func TestServeWriteMixSharded(t *testing.T) {
 // of client queries is drawn from a residue-routed pool (cross-key
 // joins, differences over partitioned operands), the run stays
 // error-free, and the result carries the residue accounting — ops, QPS,
-// and the executor's semi-join/shuffle counters.
+// and the residue-route counters.
 func TestServeResidueMixSharded(t *testing.T) {
 	cfg := DefaultServeConfig()
 	cfg.Scale = 0.03

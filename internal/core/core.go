@@ -122,7 +122,7 @@ func DefaultOptions() Options {
 
 // ErrNotCovered is returned when a query is not covered by the access
 // schema and Options.FallbackToBaseline is off. The sharded router's
-// residue executor returns the same error for the same condition, so a
+// residue route returns the same error for the same condition, so a
 // cluster and a single engine reject identically.
 var ErrNotCovered = errors.New("core: query is not covered by the access schema")
 
@@ -414,19 +414,6 @@ func analyzed(c *compiled, rep *Report) {
 	rep.Plan = c.plan
 	rep.Minimized = c.minimized
 	rep.Bounded = c.covered
-}
-
-// EvalSubtree evaluates one subtree of a normalized query against this
-// engine's local slice with the conventional evaluator, returning the
-// table, its positional attribute scope and the access cost. It is the
-// shard-side half of distributed residue execution: the router decides
-// which subtrees are safe to evaluate per shard (internal/shard/route.go)
-// and ships them here; no coverage checking applies because the subtree
-// is not a whole query.
-func (e *Engine) EvalSubtree(q ra.Query) (*exec.Table, []ra.Attr, exec.Stats, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return exec.EvalSubtree(q, e.schema, e.db)
 }
 
 // Prewarm runs the analysis half of the pipeline on norm — coverage

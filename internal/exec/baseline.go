@@ -6,43 +6,29 @@ import (
 	"time"
 
 	"repro/internal/ra"
-	"repro/internal/store"
 	"repro/internal/value"
 )
 
 // RunBaseline evaluates q the conventional way (evalDBMS): every relation
-// occurrence is read by a full scan of whole tuples, constant selections
-// are applied after the scan, and equi-joins use hash joins with a
-// smallest-first order — a fair model of the MySQL/PostgreSQL behaviour the
-// paper observed (entire tables are accessed whenever non-key attributes
-// are involved). Its data access is Θ(|D|) by construction. Like Run, the
-// evaluation itself is columnar over an arena. It is EvalSubtree without
-// the attribute scope.
-func RunBaseline(q ra.Query, s ra.Schema, db *store.DB) (*Table, Stats, error) {
-	t, _, st, err := EvalSubtree(q, s, db)
-	return t, st, err
-}
-
-// EvalSubtree evaluates one subtree of a normalized query the
-// conventional way and returns the result table together with the
-// attribute scope its columns are positionally labeled by. It is the
-// sub-plan execution entry point of the sharded residue executor
-// (internal/shard): the router recurses over a non-distributable query,
-// ships the distributable subtrees to shard engines through this call,
-// and combines the pieces itself — column labels are derived
-// deterministically from the subtree alone, so tables computed for the
-// same subtree on different shards union positionally.
-func EvalSubtree(q ra.Query, s ra.Schema, db *store.DB) (*Table, []ra.Attr, Stats, error) {
+// occurrence is read by a full scan of whole tuples through src, constant
+// selections are applied after the scan, and equi-joins use hash joins
+// with a smallest-first order — a fair model of the MySQL/PostgreSQL
+// behaviour the paper observed (entire tables are accessed whenever
+// non-key attributes are involved). Its data access is Θ(|D|) by
+// construction. Like Run, the evaluation itself is columnar over an arena,
+// and Stats count the rows src hands back, so they are the same whichever
+// source serves the scans.
+func RunBaseline(q ra.Query, s ra.Schema, src Source) (*Table, Stats, error) {
 	start := time.Now()
 	var acc accCounter
 	a := getArena()
 	defer a.release()
 	ctx := &evalCtx{a: a, in: a.in, acc: &acc}
-	t, attrs, err := evalBaseline(ctx, q, s, db)
+	t, _, err := evalBaseline(ctx, q, s, src)
 	if err != nil {
-		return nil, nil, Stats{}, err
+		return nil, Stats{}, err
 	}
-	return t.detach(), attrs, acc.stats(start, 0), nil
+	return t.detach(), acc.stats(start, 0), nil
 }
 
 // PredsHold reports whether row, whose columns are positionally described
@@ -72,19 +58,19 @@ func PredsHold(row value.Tuple, scope []ra.Attr, preds []ra.Pred) (bool, error) 
 	return true, nil
 }
 
-// AttrIndex returns the position of a in attrs, or -1. Exported for the
-// residue executor's router-side projection over shipped subtree results.
+// AttrIndex returns the position of a in attrs, or -1. Exported for
+// internal/ivm, which resolves view-node columns by attribute.
 func AttrIndex(attrs []ra.Attr, a ra.Attr) int {
 	return attrIndex(attrs, a)
 }
 
-func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, []ra.Attr, error) {
+func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, src Source) (*Table, []ra.Attr, error) {
 	if ra.IsSPC(q) {
 		spc, err := flattenOne(q, s)
 		if err != nil {
 			return nil, nil, err
 		}
-		t, err := evalSPCBaseline(ctx, spc, s, db)
+		t, err := evalSPCBaseline(ctx, spc, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -92,11 +78,11 @@ func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, 
 	}
 	switch t := q.(type) {
 	case *ra.Union:
-		l, la, err := evalBaseline(ctx, t.L, s, db)
+		l, la, err := evalBaseline(ctx, t.L, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, _, err := evalBaseline(ctx, t.R, s, db)
+		r, _, err := evalBaseline(ctx, t.R, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -110,11 +96,11 @@ func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, 
 		noteBatch(out.n)
 		return out, la, nil
 	case *ra.Diff:
-		l, la, err := evalBaseline(ctx, t.L, s, db)
+		l, la, err := evalBaseline(ctx, t.L, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, _, err := evalBaseline(ctx, t.R, s, db)
+		r, _, err := evalBaseline(ctx, t.R, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -124,7 +110,7 @@ func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, 
 		noteBatch(out.n)
 		return out, la, nil
 	case *ra.Select:
-		in, ia, err := evalBaseline(ctx, t.In, s, db)
+		in, ia, err := evalBaseline(ctx, t.In, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -137,7 +123,7 @@ func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, 
 		noteBatch(out.n)
 		return out, ia, nil
 	case *ra.Project:
-		in, ia, err := evalBaseline(ctx, t.In, s, db)
+		in, ia, err := evalBaseline(ctx, t.In, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -160,11 +146,11 @@ func evalBaseline(ctx *evalCtx, q ra.Query, s ra.Schema, db *store.DB) (*Table, 
 		noteBatch(out.n)
 		return out, t.Attrs, nil
 	case *ra.Product:
-		l, la, err := evalBaseline(ctx, t.L, s, db)
+		l, la, err := evalBaseline(ctx, t.L, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rAttrs, err := evalBaseline(ctx, t.R, s, db)
+		r, rAttrs, err := evalBaseline(ctx, t.R, s, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -235,7 +221,7 @@ func flattenOne(q ra.Query, s ra.Schema) (*ra.SPC, error) {
 // joins. Tables are keyed by equality-class labels so equi-join conditions
 // become natural joins; residual conditions are checked implicitly by class
 // construction.
-func evalSPCBaseline(ctx *evalCtx, spc *ra.SPC, s ra.Schema, db *store.DB) (*Table, error) {
+func evalSPCBaseline(ctx *evalCtx, spc *ra.SPC, s ra.Schema, src Source) (*Table, error) {
 	var all []ra.Attr
 	for _, rel := range spc.Rels {
 		names, err := s.Attrs(rel.Base)
@@ -277,7 +263,7 @@ func evalSPCBaseline(ctx *evalCtx, spc *ra.SPC, s ra.Schema, db *store.DB) (*Tab
 	// Scan, filter and label each relation.
 	tabs := make([]*Table, 0, len(spc.Rels))
 	for _, rel := range spc.Rels {
-		t, err := scanRelation(ctx, rel, classes, needed, s, db)
+		t, err := scanRelation(ctx, rel, classes, needed, s, src)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +318,7 @@ func evalSPCBaseline(ctx *evalCtx, spc *ra.SPC, s ra.Schema, db *store.DB) (*Tab
 // evaluation's batch — the single point where baseline data enters the
 // handle space.
 func scanRelation(ctx *evalCtx, rel *ra.Relation, classes *ra.Classes,
-	needed map[ra.Attr]bool, s ra.Schema, db *store.DB) (*Table, error) {
+	needed map[ra.Attr]bool, s ra.Schema, src Source) (*Table, error) {
 	names, err := s.Attrs(rel.Base)
 	if err != nil {
 		return nil, err
@@ -369,7 +355,7 @@ func scanRelation(ctx *evalCtx, rel *ra.Relation, classes *ra.Classes,
 	for i, cs := range order {
 		cols[i] = cs.label
 	}
-	rows, err := db.Scan(rel.Base) // full-tuple scan, counted
+	rows, err := src.Scan(rel.Base) // full-tuple scan, counted
 	if err != nil {
 		return nil, err
 	}

@@ -150,6 +150,8 @@ func (s passThrough) FetchBatch(c access.Constraint, xs []value.Tuple, emit func
 	return s.db.FetchBatch(c, xs, emit)
 }
 
+func (s passThrough) Scan(rel string) ([]value.Tuple, error) { return s.db.Scan(rel) }
+
 // rowDiff renders the smallest repair that reconciles two answers: the
 // rows only in got and the rows only in want, at most diffCap of each.
 func rowDiff(got, want *exec.Table) string {

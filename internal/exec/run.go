@@ -10,19 +10,23 @@ import (
 	"repro/internal/value"
 )
 
-// Source is where a plan's fetch steps read index buckets from. *store.DB
-// is the single-engine source; the sharded router supplies one that routes
-// each fetch to the members holding the bucket.
+// Source is where a plan's fetch steps read index buckets from and where
+// the baseline's scans read relations from. *store.DB is the single-engine
+// source; the sharded router supplies one that routes each fetch to the
+// members holding the bucket and each scan to the members holding the
+// relation.
 //
 // Fetch returns the bucket of X value xvals in the index for c (xvals is
 // nil when c.X is empty). FetchBatch calls emit(i, rows) once for every
 // probe xs[i], in any order; rows may be reused after emit returns. Both
 // must return each bucket's distinct rows in plan.IndexCols(c) layout, so
 // Run can charge accesses exactly as the store does: one per row, or one
-// for an empty probe.
+// for an empty probe. Scan returns every tuple of rel exactly once, so
+// RunBaseline charges one scanned access per tuple of the relation.
 type Source interface {
 	Fetch(c access.Constraint, xvals value.Tuple) ([]value.Tuple, error)
 	FetchBatch(c access.Constraint, xs []value.Tuple, emit func(i int, rows []value.Tuple)) error
+	Scan(rel string) ([]value.Tuple, error)
 }
 
 // Stats reports the cost of an evaluation.

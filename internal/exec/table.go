@@ -7,9 +7,9 @@
 // column over a per-table (or per-evaluation) string interner, operators
 // work on whole columns, and intermediates draw their memory from a pooled
 // per-request arena that is returned wholesale when the evaluation ends.
-// Run is the only plan evaluator and RunBaseline/EvalSubtree the only
-// conventional one; the tuple-at-a-time evaluator the fuzz wall compares
-// them against lives in test code (legacy_test.go).
+// Run is the only plan evaluator and RunBaseline the only conventional
+// one; the tuple-at-a-time evaluator the fuzz wall compares them against
+// lives in test code (legacy_test.go).
 package exec
 
 import (

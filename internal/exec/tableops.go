@@ -1,91 +1,17 @@
-// Exported batch operators over detached Tables: the building blocks the
-// sharded residue executor (internal/shard) combines router-side. Unlike
-// the plan operators in run.go these cross evaluation boundaries — their
-// operands come from different engines with different interners — so each
-// operator first brings its inputs into one handle space (reusing the left
-// operand's ids via CloneTables and remapping only the right) and then
-// works column-wise, never materializing per-row maps or key strings.
+// The exported merge over detached Tables: the sharded router's
+// scatter/gather (internal/shard) unions the members' answers with it.
+// Unlike the plan operators in run.go it crosses evaluation boundaries —
+// its operands come from different engines with different interners — so
+// it first brings its inputs into one handle space and then works
+// column-wise, never materializing per-row maps or key strings.
 package exec
 
-import (
-	"fmt"
-
-	"repro/internal/ra"
-	"repro/internal/value"
-)
-
-// FilterTable returns the rows of in satisfying every predicate, with
-// in's columns positionally described by scope. Constants are matched by
-// handle lookup: a constant the table's interner has never seen matches
-// nothing.
-func FilterTable(in *Table, scope []ra.Attr, preds []ra.Pred) (*Table, error) {
-	keep := make([]int32, 0, in.n)
-	for i := 0; i < in.n; i++ {
-		keep = append(keep, int32(i))
-	}
-	for _, p := range preds {
-		switch t := p.(type) {
-		case ra.EqAttr:
-			pa, pb := attrIndex(scope, t.L), attrIndex(scope, t.R)
-			if pa < 0 || pb < 0 {
-				return nil, fmt.Errorf("exec: selection attribute out of scope in %s", p)
-			}
-			ca, cb := in.cols[pa], in.cols[pb]
-			w := 0
-			for _, id := range keep {
-				if ca[id] == cb[id] {
-					keep[w] = id
-					w++
-				}
-			}
-			keep = keep[:w]
-		case ra.EqConst:
-			pa := attrIndex(scope, t.A)
-			if pa < 0 {
-				return nil, fmt.Errorf("exec: selection attribute out of scope in %s", p)
-			}
-			ch, ok := in.in.LookupHandle(t.C)
-			if !ok {
-				keep = keep[:0]
-				continue
-			}
-			ca := in.cols[pa]
-			w := 0
-			for _, id := range keep {
-				if ca[id] == ch {
-					keep[w] = id
-					w++
-				}
-			}
-			keep = keep[:w]
-		}
-	}
-	out := &Table{Cols: in.Cols, in: in.in, cols: make([][]value.Handle, len(in.cols))}
-	gatherHeap(out, in.cols, keep)
-	noteBatch(out.n)
-	return out, nil
-}
-
-// ProjectTable projects in onto the column positions pos, relabeled cols,
-// deduplicating the result (set semantics).
-func ProjectTable(in *Table, pos []int, cols []string) *Table {
-	out := &Table{Cols: cols, in: in.in, cols: make([][]value.Handle, len(cols))}
-	for j, p := range pos {
-		c := make([]value.Handle, in.n)
-		copy(c, in.cols[p][:in.n])
-		out.cols[j] = c
-	}
-	out.setLen(in.n)
-	out.dedupAll()
-	noteBatch(out.n)
-	return out
-}
+import "repro/internal/value"
 
 // UnionTables returns the set union of the given tables (nil entries are
 // skipped; cols labels the result when every entry is nil). The tables may
 // come from different interners; entries sharing the first non-nil table's
-// interner — scatter/gather fragments usually do not, bucket-join outputs
-// always do — are appended without remapping.
+// interner are appended without remapping.
 func UnionTables(cols []string, ts ...*Table) *Table {
 	var base *Table
 	total := 0
@@ -128,228 +54,6 @@ func UnionTables(cols []string, ts ...*Table) *Table {
 	}
 	out.setLen(total)
 	out.dedupAll()
-	noteBatch(out.n)
-	return out
-}
-
-// DiffTables returns the rows of l absent from r (set difference). The
-// probe remaps l's handles into r's space read-only: an l value r's
-// interner has never seen cannot be in r.
-func DiffTables(l, r *Table) *Table {
-	r.ensureSet()
-	var strs, bigs []value.Handle
-	if l.in != r.in {
-		strs, bigs = l.in.LookupRemap(r.in)
-	}
-	vals := make([]value.Handle, len(l.cols))
-	keep := make([]int32, 0, l.n)
-rowLoop:
-	for i := 0; i < l.n; i++ {
-		for j, c := range l.cols {
-			rv := c[i]
-			if strs != nil || bigs != nil {
-				rv = rv.Remap(strs, bigs)
-				if rv == value.MissingHandle {
-					keep = append(keep, int32(i))
-					continue rowLoop
-				}
-			}
-			vals[j] = rv
-		}
-		if !r.lookupRow(vals) {
-			keep = append(keep, int32(i))
-		}
-	}
-	out := &Table{Cols: l.Cols, in: l.in, cols: make([][]value.Handle, len(l.cols))}
-	gatherHeap(out, l.cols, keep)
-	noteBatch(out.n)
-	return out
-}
-
-// CrossTables returns the cross product of l and r with columns l.Cols
-// followed by r.Cols. Distinct × distinct is distinct, so no dedup pass
-// runs.
-func CrossTables(l, r *Table) *Table {
-	s := l.in.CloneTables()
-	r2 := alignTo(s, r)
-	l2 := &Table{Cols: l.Cols, in: s, cols: l.cols, n: l.n}
-	ctx := &evalCtx{in: s}
-	out := crossCtx(ctx, l2, r2, append(append([]string{}, l.Cols...), r.Cols...))
-	noteBatch(out.n)
-	return out
-}
-
-// gatherHeap copies the identified rows of src into out's (heap) columns.
-func gatherHeap(out *Table, src [][]value.Handle, ids []int32) {
-	for j := range out.cols {
-		dst := make([]value.Handle, len(ids))
-		sc := src[j]
-		for k, id := range ids {
-			dst[k] = sc[id]
-		}
-		out.cols[j] = dst
-	}
-	out.setLen(len(ids))
-}
-
-// ShuffleJoin is the batched semi-join + hash-shuffle join of the
-// distributed residue executor: both sides are brought into one handle
-// space, right rows without a left join partner are dropped (semi-join
-// reduction), and the survivors of both sides are bucketed by join-key
-// hash so the per-bucket joins can run concurrently on the member pools.
-// Equal keys hash to equal buckets, so the bucket joins partition the true
-// join and their outputs merge by set union.
-type ShuffleJoin struct {
-	outCols []string
-	in      *value.Interner // the shared handle space
-	l, r    *Table          // aligned views of the operands
-	lpos    []int           // join-key columns of l
-	rpos    []int           // join-key columns of r
-	lb, rb  [][]int32       // per-bucket row ids
-	shipped int64
-}
-
-// NewShuffleJoin prepares the shuffle of l ⋈ r on the key columns lpos /
-// rpos into nb buckets: it aligns the operands, runs the semi-join
-// reduction, buckets the surviving rows, and accounts the encoded volume
-// the buckets received — what the shuffle would put on the wire in a
-// multi-node deployment.
-func NewShuffleJoin(l, r *Table, lpos, rpos []int, nb int) *ShuffleJoin {
-	s := l.in.CloneTables()
-	sj := &ShuffleJoin{
-		outCols: append(append([]string{}, l.Cols...), r.Cols...),
-		in:      s,
-		l:       &Table{Cols: l.Cols, in: s, cols: l.cols, n: l.n},
-		r:       alignTo(s, r),
-		lpos:    lpos,
-		rpos:    rpos,
-		lb:      make([][]int32, nb),
-		rb:      make([][]int32, nb),
-	}
-
-	// Left key set for the semi-join, open-addressed over l's key columns.
-	slots := setSlots(sj.l.n)
-	idx := make([]int32, slots)
-	mask := uint32(slots - 1)
-	for i := 0; i < sj.l.n; i++ {
-		h := hashRowAt(sj.l.cols, sj.lpos, i)
-		slot := uint32(h) & mask
-		dup := false
-		for idx[slot] != 0 {
-			if sj.keyEq(sj.l, int(idx[slot]-1), sj.l, sj.lpos, i) {
-				dup = true
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if !dup {
-			idx[slot] = int32(i) + 1
-		}
-	}
-
-	// Bucket by key hash; both sides share one handle space, so equal keys
-	// land in equal buckets. Every left row ships; right rows ship only
-	// when the semi-join finds a partner.
-	var buf []byte
-	rowBytes := func(t *Table, i int) int64 {
-		buf = buf[:0]
-		for _, c := range t.cols {
-			buf = value.AppendKey(buf, s.Decode(c[i]))
-		}
-		return int64(len(buf))
-	}
-	for i := 0; i < sj.l.n; i++ {
-		b := int(hashRowAt(sj.l.cols, sj.lpos, i) % uint64(nb))
-		sj.lb[b] = append(sj.lb[b], int32(i))
-		sj.shipped += rowBytes(sj.l, i)
-	}
-	for i := 0; i < sj.r.n; i++ {
-		h := hashRowAt(sj.r.cols, sj.rpos, i)
-		slot := uint32(h) & mask
-		hit := false
-		for idx[slot] != 0 {
-			if sj.keyEq(sj.l, int(idx[slot]-1), sj.r, sj.rpos, i) {
-				hit = true
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-		if !hit {
-			continue
-		}
-		b := int(h % uint64(nb))
-		sj.rb[b] = append(sj.rb[b], int32(i))
-		sj.shipped += rowBytes(sj.r, i)
-	}
-	return sj
-}
-
-// keyEq reports whether the join key of t's row i equals the key of u's
-// row j (key columns given by sj.lpos for l-side tables and the pos
-// argument for the other side).
-func (sj *ShuffleJoin) keyEq(t *Table, i int, u *Table, upos []int, j int) bool {
-	for k, lp := range sj.lpos {
-		if t.cols[lp][i] != u.cols[upos[k]][j] {
-			return false
-		}
-	}
-	return true
-}
-
-// Buckets returns the number of shuffle buckets.
-func (sj *ShuffleJoin) Buckets() int { return len(sj.lb) }
-
-// BytesShipped returns the encoded row volume the buckets received.
-func (sj *ShuffleJoin) BytesShipped() int64 { return sj.shipped }
-
-// JoinBucket hash-joins one bucket and returns its output (nil when the
-// bucket is empty on either side). Safe to call concurrently for distinct
-// buckets: it only compares and gathers handles in the prepared shared
-// space, never interning.
-func (sj *ShuffleJoin) JoinBucket(b int) *Table {
-	li, ri := sj.lb[b], sj.rb[b]
-	if len(li) == 0 || len(ri) == 0 {
-		return nil
-	}
-	slots := setSlots(len(ri))
-	head := make([]int32, slots)
-	next := make([]int32, len(ri))
-	mask := uint32(slots - 1)
-	for k, id := range ri {
-		h := hashRowAt(sj.r.cols, sj.rpos, int(id))
-		slot := uint32(h) & mask
-		next[k] = head[slot]
-		head[slot] = int32(k) + 1
-	}
-	var lo, ro []int32
-	for _, lid := range li {
-		h := hashRowAt(sj.l.cols, sj.lpos, int(lid))
-		for e := head[uint32(h)&mask]; e != 0; e = next[e-1] {
-			rid := ri[e-1]
-			if sj.keyEq(sj.l, int(lid), sj.r, sj.rpos, int(rid)) {
-				lo = append(lo, lid)
-				ro = append(ro, rid)
-			}
-		}
-	}
-	out := &Table{Cols: sj.outCols, in: sj.in, cols: make([][]value.Handle, len(sj.outCols))}
-	for j := range sj.l.cols {
-		dst := make([]value.Handle, len(lo))
-		sc := sj.l.cols[j]
-		for k, id := range lo {
-			dst[k] = sc[id]
-		}
-		out.cols[j] = dst
-	}
-	for j := range sj.r.cols {
-		dst := make([]value.Handle, len(ro))
-		sc := sj.r.cols[j]
-		for k, id := range ro {
-			dst[k] = sc[id]
-		}
-		out.cols[len(sj.l.cols)+j] = dst
-	}
-	out.setLen(len(lo))
 	noteBatch(out.n)
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/ra"
 	"repro/internal/value"
 )
 
@@ -18,60 +17,6 @@ func mkTable(cols []string, rows ...value.Tuple) *exec.Table {
 
 func iv(i int64) value.Value  { return value.NewInt(i) }
 func sv(s string) value.Value { return value.NewStr(s) }
-
-var filterScope = []ra.Attr{{Rel: "r", Name: "a"}, {Rel: "r", Name: "b"}, {Rel: "r", Name: "c"}}
-
-func filterInput() *exec.Table {
-	return mkTable([]string{"a", "b", "c"},
-		value.Tuple{iv(1), sv("x"), iv(1)},
-		value.Tuple{iv(2), sv("x"), iv(3)},
-		value.Tuple{iv(4), sv("y"), iv(4)},
-	)
-}
-
-func TestFilterTable(t *testing.T) {
-	in := filterInput()
-	got, err := exec.FilterTable(in, filterScope, []ra.Pred{
-		ra.EqAttr{L: filterScope[0], R: filterScope[2]},
-		ra.EqConst{A: filterScope[1], C: sv("x")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mkTable([]string{"a", "b", "c"}, value.Tuple{iv(1), sv("x"), iv(1)})
-	if !got.Equal(want) {
-		t.Fatalf("filter gave:\n%s\nwant:\n%s", got, want)
-	}
-
-	// A constant the table's interner never saw matches nothing.
-	got, err = exec.FilterTable(in, filterScope, []ra.Pred{
-		ra.EqConst{A: filterScope[1], C: sv("never-interned")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("unseen constant matched %d rows", got.Len())
-	}
-
-	// Out-of-scope attributes are errors on both predicate forms.
-	oos := ra.Attr{Rel: "s", Name: "z"}
-	if _, err := exec.FilterTable(in, filterScope, []ra.Pred{ra.EqAttr{L: oos, R: filterScope[0]}}); err == nil {
-		t.Fatal("EqAttr out of scope must error")
-	}
-	if _, err := exec.FilterTable(in, filterScope, []ra.Pred{ra.EqConst{A: oos, C: iv(1)}}); err == nil {
-		t.Fatal("EqConst out of scope must error")
-	}
-}
-
-func TestProjectTable(t *testing.T) {
-	in := filterInput()
-	got := exec.ProjectTable(in, []int{1}, []string{"b"})
-	want := mkTable([]string{"b"}, value.Tuple{sv("x")}, value.Tuple{sv("y")})
-	if !got.Equal(want) {
-		t.Fatalf("project gave:\n%s\nwant:\n%s", got, want)
-	}
-}
 
 func TestUnionTables(t *testing.T) {
 	cols := []string{"a", "b"}
@@ -94,121 +39,11 @@ func TestUnionTables(t *testing.T) {
 	}
 }
 
-func TestDiffTables(t *testing.T) {
-	cols := []string{"a", "b"}
-	l := mkTable(cols,
-		value.Tuple{iv(1), sv("x")},
-		value.Tuple{iv(2), sv("y")},
-		value.Tuple{iv(3), sv("z")},
-	)
-
-	// Same-interner right side: a filter of l shares its handle space.
-	scope := []ra.Attr{{Rel: "r", Name: "a"}, {Rel: "r", Name: "b"}}
-	r, err := exec.FilterTable(l, scope, []ra.Pred{ra.EqConst{A: scope[1], C: sv("y")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := exec.DiffTables(l, r)
-	want := mkTable(cols, value.Tuple{iv(1), sv("x")}, value.Tuple{iv(3), sv("z")})
-	if !got.Equal(want) {
-		t.Fatalf("same-interner diff gave:\n%s\nwant:\n%s", got, want)
-	}
-
-	// Cross-interner right side: "z" is absent from r2's interner entirely,
-	// exercising the MissingHandle keep path.
-	r2 := mkTable(cols, value.Tuple{iv(1), sv("x")}, value.Tuple{iv(9), sv("w")})
-	got = exec.DiffTables(l, r2)
-	want = mkTable(cols, value.Tuple{iv(2), sv("y")}, value.Tuple{iv(3), sv("z")})
-	if !got.Equal(want) {
-		t.Fatalf("cross-interner diff gave:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestCrossTables(t *testing.T) {
-	l := mkTable([]string{"a"}, value.Tuple{iv(1)}, value.Tuple{iv(2)})
-	r := mkTable([]string{"b"}, value.Tuple{sv("x")}, value.Tuple{sv("y")}, value.Tuple{sv("z")})
-	got := exec.CrossTables(l, r)
-	if got.Len() != 6 {
-		t.Fatalf("cross product has %d rows, want 6", got.Len())
-	}
-	for _, a := range []int64{1, 2} {
-		for _, b := range []string{"x", "y", "z"} {
-			if !got.Has(value.Tuple{iv(a), sv(b)}) {
-				t.Fatalf("cross product misses (%d, %s)", a, b)
-			}
-		}
-	}
-}
-
-func TestShuffleJoin(t *testing.T) {
-	lrows := []value.Tuple{
-		{iv(1), sv("k1")},
-		{iv(2), sv("k2")},
-		{iv(3), sv("k1")},
-	}
-	rrows := []value.Tuple{
-		{sv("k1"), sv("p")},
-		{sv("k2"), sv("q")},
-		{sv("k3"), sv("dropped")}, // no left partner: semi-join removes it
-	}
-	l := mkTable([]string{"a", "b"}, lrows...)
-	r := mkTable([]string{"b", "c"}, rrows...)
-
-	const nb = 4
-	sj := exec.NewShuffleJoin(l, r, []int{1}, []int{0}, nb)
-	if sj.Buckets() != nb {
-		t.Fatalf("Buckets() = %d, want %d", sj.Buckets(), nb)
-	}
-
-	// Every left row ships; right rows ship only with a partner.
-	wantShipped := int64(0)
-	for _, row := range lrows {
-		wantShipped += int64(len(row.Key()))
-	}
-	for _, row := range rrows[:2] {
-		wantShipped += int64(len(row.Key()))
-	}
-	if sj.BytesShipped() != wantShipped {
-		t.Fatalf("BytesShipped() = %d, want %d", sj.BytesShipped(), wantShipped)
-	}
-
-	// The bucket joins must partition the true join: their union equals the
-	// nested-loop result.
-	outCols := []string{"a", "b", "b", "c"}
-	want := exec.NewTable(outCols)
-	for _, lr := range lrows {
-		for _, rr := range rrows {
-			if lr[1] == rr[0] {
-				want.Add(value.Tuple{lr[0], lr[1], rr[0], rr[1]})
-			}
-		}
-	}
-	parts := make([]*exec.Table, nb)
-	for b := 0; b < nb; b++ {
-		parts[b] = sj.JoinBucket(b)
-	}
-	got := exec.UnionTables(outCols, parts...)
-	if !got.Equal(want) {
-		t.Fatalf("shuffle join gave:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestShuffleJoinEmptyBuckets(t *testing.T) {
-	l := mkTable([]string{"a"}, value.Tuple{sv("k1")})
-	r := mkTable([]string{"b"}, value.Tuple{sv("other")})
-	sj := exec.NewShuffleJoin(l, r, []int{0}, []int{0}, 3)
-	for b := 0; b < sj.Buckets(); b++ {
-		if out := sj.JoinBucket(b); out != nil {
-			t.Fatalf("bucket %d of a partnerless join gave %d rows", b, out.Len())
-		}
-	}
-}
-
 func TestReadCounters(t *testing.T) {
 	before := exec.ReadCounters()
 	l := mkTable([]string{"a"}, value.Tuple{iv(1)}, value.Tuple{iv(2)})
 	r := mkTable([]string{"a"}, value.Tuple{iv(2)})
-	exec.DiffTables(l, r)
+	exec.UnionTables(l.Cols, l, r)
 	after := exec.ReadCounters()
 	if after.Batches <= before.Batches {
 		t.Fatalf("Batches did not advance: %d -> %d", before.Batches, after.Batches)

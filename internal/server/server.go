@@ -599,9 +599,9 @@ type resharder interface {
 }
 
 // writePather is implemented by core.Service implementations with an
-// asynchronous broadcast write pipeline, a routing layer and a
-// distributed residue executor (the router of internal/shard); /stats
-// folds all three counter sets in for operators.
+// asynchronous broadcast write pipeline, a routing layer and residue
+// routes answered over routed reads (the router of internal/shard);
+// /stats folds all three counter sets in for operators.
 type writePather interface {
 	ApplyQueueStats() shard.ApplyQueueStats
 	RouteStats() shard.RouteStats
@@ -724,8 +724,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		rd := wp.ResidueStats()
 		residueW = &ResidueStatsWire{
-			SemiJoins:     rd.SemiJoins,
-			Shuffles:      rd.Shuffles,
 			BroadcastRels: rd.BroadcastRels,
 			Repartitions:  rd.Repartitions,
 			BytesShipped:  rd.BytesShipped,

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +56,7 @@ func TestServerOverShardedRouter(t *testing.T) {
 		`q(origin, dest) :- ontime(f, origin, dest, 3, m, delay)`,                                       // scatter, uncovered
 		`q(city) :- ontime(123, origin, dest, al, m, delay), airport(origin, city, st)`,                 // scatter, covered
 		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`, // residue, covered: routed plan
-		`q(origin, cause) :- ontime(f, origin, d, al, m, delay), delaycause(f, cause, mins)`,            // residue, uncovered: evaluator
+		`q(origin, cause) :- ontime(f, origin, d, al, m, delay), delaycause(f, cause, mins)`,            // residue, uncovered: baseline over routed scans
 	}
 	for _, src := range queries {
 		want, err := singleCli.Query(ctx, src)
@@ -146,13 +148,23 @@ func TestServerOverShardedRouter(t *testing.T) {
 	if stats.Residue.BroadcastRels == 0 {
 		t.Error("residue block reports no broadcast relations on AIRCA")
 	}
-	if stats.Residue.SemiJoins < 0 || stats.Residue.Shuffles < 0 || stats.Residue.BytesShipped < 0 {
-		t.Errorf("implausible residue counters: %+v", stats.Residue)
-	}
-	// Of the two residue probes only the uncovered one runs through the
-	// conventional evaluator.
+	// Of the two residue probes only the uncovered one runs the baseline,
+	// and only its routed scans ship rows.
 	if stats.Residue.Evaluated != 1 {
 		t.Errorf("residue.evaluated = %d, want 1 (the uncovered residue probe)", stats.Residue.Evaluated)
+	}
+	if stats.Residue.BytesShipped <= 0 {
+		t.Errorf("residue.bytesShipped = %d after an uncovered residue probe, want > 0", stats.Residue.BytesShipped)
+	}
+	var raw struct {
+		Residue map[string]json.RawMessage `json:"residue"`
+	}
+	if err := shardedCli.get(ctx, "/stats", &raw); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(raw.Residue))
+	if want := []string{"broadcastRels", "bytesShipped", "evaluated", "repartitions"}; !slices.Equal(keys, want) {
+		t.Errorf("residue block keys = %v, want %v", keys, want)
 	}
 	if sstats.Apply != nil || sstats.Routes != nil || sstats.Residue != nil {
 		t.Errorf("single-engine stats unexpectedly carries write-path blocks: apply=%+v routes=%+v residue=%+v",

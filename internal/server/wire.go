@@ -171,8 +171,8 @@ type StatsResponse struct {
 	// Routes is the routing-decision breakdown, present only for a sharded
 	// cluster.
 	Routes *RouteStatsWire `json:"routes,omitempty"`
-	// Residue is the distributed residue-executor breakdown (semi-joins,
-	// shuffles, placement changes), present only for a sharded cluster.
+	// Residue is the residue-route breakdown (baseline evaluations, bytes
+	// shipped, placement changes), present only for a sharded cluster.
 	Residue *ResidueStatsWire `json:"residue,omitempty"`
 	// Durability is the write-ahead-log snapshot, present only when the
 	// serving layer was started durable (-data-dir).
@@ -361,26 +361,22 @@ type RouteStatsWire struct {
 	Residue   int64 `json:"residue"`
 }
 
-// ResidueStatsWire is the distributed residue-executor breakdown in GET
-// /stats. Operators read it to size the broadcast set and to see how much
-// row volume non-distributable joins would ship in a multi-node
-// deployment.
+// ResidueStatsWire is the residue-route breakdown in GET /stats.
+// Operators read it to size the broadcast set and to see how much row
+// volume uncovered residue queries would ship in a multi-node deployment.
 type ResidueStatsWire struct {
-	// SemiJoins counts semi-join reductions performed; Shuffles the hash
-	// shuffles that followed them.
-	SemiJoins int64 `json:"semiJoins"`
-	Shuffles  int64 `json:"shuffles"`
 	// BroadcastRels is the number of relations currently placed by
 	// broadcast (full copy on every shard).
 	BroadcastRels int `json:"broadcastRels"`
 	// Repartitions counts completed online placement changes (including
 	// automatic demotions of overgrown broadcast relations).
 	Repartitions int64 `json:"repartitions"`
-	// BytesShipped is the encoded row volume handed to shuffle buckets —
-	// the traffic the shuffles would put on the wire across nodes.
+	// BytesShipped is the encoded row volume routed scans returned to the
+	// router — the traffic the baseline's scans would put on the wire
+	// across nodes. Covered residue routes ship nothing here.
 	BytesShipped int64 `json:"bytesShipped"`
-	// Evaluated counts residue-routed queries answered by the conventional
-	// evaluator instead of a bounded plan: uncovered queries admitted by
+	// Evaluated counts residue-routed queries answered by the baseline over
+	// routed scans instead of a bounded plan: uncovered queries admitted by
 	// the baseline fallback.
 	Evaluated int64 `json:"evaluated"`
 }

@@ -58,8 +58,8 @@ func newChaosWorld(t *testing.T, shards int) *chaosWorld {
 		`q(airline) :- ontime(f, 42, d, airline, m, delay)`,                                                                                           // keyed fast path (owner changes mid-move)
 		`q(origin, dest) :- ontime(f, origin, dest, 3, m, delay)`,                                                                                     // scatter, uncovered
 		`q(city) :- ontime(123, origin, dest, al, m, delay), airport(origin, city, st)`,                                                               // scatter, covered
-		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`,                                               // residue: cross-keyed product, no link (nested loop)
-		`q(origin, cause) :- ontime(f, origin, dest, al, m, delay), delaycause(f, cause, mins)`,                                                       // residue: semi-join + shuffle on the fid link
+		`q(origin, dest, cause) :- ontime(77, origin, dest, al, m, delay), delaycause(77, cause, mins)`,                                               // residue, covered: bounded plan over routed fetches
+		`q(origin, cause) :- ontime(f, origin, dest, al, m, delay), delaycause(f, cause, mins)`,                                                       // residue, uncovered: baseline over routed scans
 		`(q(origin) :- ontime(f, origin, dest, al, m, delay)) EXCEPT (q(origin) :- delaycause(f2, origin, mins))`,                                     // residue: difference over a partitioned right operand
 		`q(cname) :- carrier(3, cname, country)`,                                                                                                      // broadcast-only single shard
 		`(q(airline) :- ontime(f, 42, d, airline, m, delay)) EXCEPT (q(airline) :- carrier(airline, nm, 0), ontime(f2, 42, d2, airline, m2, delay2))`, // non-monotone keyed fast path
@@ -78,7 +78,9 @@ func newChaosWorld(t *testing.T, shards int) *chaosWorld {
 }
 
 // check runs every probe query on both sides under the exclusive lock and
-// fails on any divergence. Mutations are quiesced; migration is not.
+// fails on any divergence, including a residue route reading other tuples
+// than the oracle (routedParity). Mutations are quiesced; migration is
+// not.
 func (w *chaosWorld) check(label string) {
 	w.t.Helper()
 	w.lock.Lock()
@@ -87,6 +89,10 @@ func (w *chaosWorld) check(label string) {
 		want, wantRep, err := w.oracle.Execute(q, core.DefaultOptions())
 		if err != nil {
 			w.t.Fatalf("%s: oracle %s: %v", label, w.names[i], err)
+		}
+		kind, err := w.router.RouteKind(q)
+		if err != nil {
+			w.t.Fatalf("%s: route %s: %v", label, w.names[i], err)
 		}
 		got, gotRep, err := w.router.Execute(q, core.DefaultOptions())
 		if err != nil {
@@ -98,6 +104,15 @@ func (w *chaosWorld) check(label string) {
 		if wantRep.Covered != gotRep.Covered || wantRep.Bounded != gotRep.Bounded {
 			w.t.Errorf("%s: %s: verdict covered %v/%v bounded %v/%v", label, w.names[i],
 				gotRep.Covered, wantRep.Covered, gotRep.Bounded, wantRep.Bounded)
+		}
+		// A placement flip between the two RouteKind calls may have moved
+		// the query to another route; parity is only asked of a route
+		// that held across the execution.
+		if after, err := w.router.RouteKind(q); err != nil || after != kind {
+			continue
+		}
+		if err := routedParity(kind, wantRep, gotRep); err != nil {
+			w.t.Errorf("%s: %s: %v", label, w.names[i], err)
 		}
 	}
 }

@@ -157,17 +157,24 @@ func FuzzRouteDecision(f *testing.F) {
 // non-distributable shapes (cross-key joins, unions and differences over
 // partitioned relations) run against every ring state — one shard,
 // several, a resharded cluster, and one frozen mid-copy — and must
-// reproduce the single-engine oracle exactly; a covered one must also run
-// bounded and read exactly the tuples the oracle's plan reads.
-// Where FuzzRouteDecision mutates query text, this fuzzer drives the
-// generator's parameter space, so every input is a well-formed query
-// and the residue planner/executor, not the parser, absorbs the
-// fuzzing budget.
+// reproduce the single-engine oracle exactly. A residue route must also
+// read exactly the tuples the oracle reads (a covered one through its
+// bounded plan, an uncovered one through the baseline's scans), and a
+// covered one must run bounded. Where FuzzRouteDecision mutates query
+// text, this fuzzer drives the generator's parameter space, so every
+// input is a well-formed query and the routed reads, not the parser,
+// absorb the fuzzing budget.
 func FuzzResiduePlan(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(2), uint8(1), uint8(0))
 	f.Add(uint8(1), int64(2), uint8(3), uint8(2), uint8(1))
 	f.Add(uint8(2), int64(3), uint8(1), uint8(1), uint8(1))
 	f.Add(uint8(3), int64(4), uint8(4), uint8(2), uint8(0))
+	// Uncovered residue routes, one per multi-member ring state: the
+	// baseline over routed scans, mid-copy included.
+	f.Add(uint8(1), int64(1), uint8(0), uint8(1), uint8(1))
+	f.Add(uint8(2), int64(2), uint8(0), uint8(0), uint8(1))
+	f.Add(uint8(3), int64(3), uint8(2), uint8(0), uint8(1))
+	f.Add(uint8(3), int64(3), uint8(3), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, pick uint8, seed int64, sel, join, unidiff uint8) {
 		h := fuzzHarness()
 		if h.err != nil {

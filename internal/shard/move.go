@@ -76,10 +76,12 @@
 // at least one side and is off the lane from begin until the move clears.
 //
 // Surplus copies mid-move are sound for every read strategy: single-shard
-// reads route to a placement that is complete under the readers'
-// assignment, and scatter, residue and gather merges are set unions, so an
-// extra copy on a non-owning member can only re-contribute a row its owner
-// already contributed.
+// reads and a residue route's owner fetches go to a placement that is
+// complete under the readers' assignment; scatter/gather merges and a
+// residue route's fetches on every member are set unions, so an extra copy
+// on a non-owning member can only re-contribute a row its owner already
+// contributed; and a residue route's scans keep from each member only the
+// rows the readers' assignment places there (source.go).
 package shard
 
 import (

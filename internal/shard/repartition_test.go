@@ -182,16 +182,23 @@ func TestRepartitionAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := eng.Execute(q, core.DefaultOptions())
+		want, wantRep, err := eng.Execute(q, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := router.Execute(q, core.DefaultOptions())
+		kind, err := router.RouteKind(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotRep, err := router.Execute(q, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !want.Equal(got) {
 			t.Errorf("%s after abort: %d rows sharded vs %d oracle", src, got.Len(), want.Len())
+		}
+		if err := routedParity(kind, wantRep, gotRep); err != nil {
+			t.Errorf("%s after abort: %v", src, err)
 		}
 	}
 }
@@ -293,16 +300,23 @@ func TestAutoDemoteOnGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := oracle.Execute(q, core.DefaultOptions())
+		want, wantRep, err := oracle.Execute(q, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := router.Execute(q, core.DefaultOptions())
+		kind, err := router.RouteKind(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotRep, err := router.Execute(q, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !want.Equal(got) {
 			t.Errorf("%s after auto-demote: %d rows sharded vs %d oracle", src, got.Len(), want.Len())
+		}
+		if err := routedParity(kind, wantRep, gotRep); err != nil {
+			t.Errorf("%s after auto-demote: %v", src, err)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Routing analysis: decide, per normalized query, whether one shard can
 // answer it exactly, whether scatter/gather over all shards is exact, or
 // whether it is a residue query, answered at the router (residue.go): a
-// covered one by its bounded plan over routed fetches (source.go), an
-// uncovered one by the conventional residue evaluator.
+// covered one by its bounded plan over routed fetches, an uncovered one by
+// the baseline over routed scans (source.go).
 //
-// The analysis is conservative — it may send a distributable query to the
-// residue executor, never the reverse — and rests on two facts about hash
+// The analysis is conservative — it may route a distributable query as
+// residue, never the reverse — and rests on two facts about hash
 // partitioning. First, selection, projection, product and union all
 // distribute over a disjoint partition of one input relation, so a query
 // that reads at most one partitioned relation per conjunctive block can
@@ -17,11 +17,9 @@
 // right operand reads a partitioned relation (set difference does not
 // distribute over a partition of its right side) and a join of two
 // partitioned relations that is not on their partition keys (matching
-// tuples may live on different shards); both are residue routes. Their
-// bounded plan needs no classification — each fetch is routed by its own
-// relation's placement — while the evaluator reuses the same dist
-// classification per subtree to ship the distributable pieces and stitch
-// the rest together router-side.
+// tuples may live on different shards); both are residue routes. They
+// need no further classification: each fetch or scan is routed by its
+// own relation's placement.
 //
 // The analysis is a pure function of the query, one ring and one
 // placement assignment: decisions are cached per (ring epoch, placement

@@ -145,7 +145,10 @@ func TestRoutedPlanConstraintChurn(t *testing.T) {
 // The routed fetches must read the snapshot the move keeps complete: the
 // old ring while copying, the new one (surplus copies not yet swept) while
 // cleaning up. Answers must be the single engine's and so must the access
-// count, so a surplus copy the union failed to drop would show.
+// count, so a surplus copy the union failed to drop would show. In both
+// phases an uncovered residue probe runs the baseline over routed scans;
+// its scanned count must be the single engine's too, so a surplus copy the
+// owner filter failed to drop would show.
 func TestRoutedPlanMidMove(t *testing.T) {
 	eng, router, _ := buildPair(t, "AIRCA", 2)
 	fids, byFid := causesFlights(t, eng)
@@ -219,10 +222,42 @@ func TestRoutedPlanMidMove(t *testing.T) {
 					phaseNames[phase], fid, gotRep.Bounded, gotRep.Stats.Accessed, wantRep.Stats.Accessed)
 			}
 		}
+		if err := uncoveredProbe(eng, router); err != nil {
+			t.Errorf("%s: %v", phaseNames[phase], err)
+		}
 		resume <- struct{}{}
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("unfrozen reshard failed: %v", err)
 	}
 	router.hookMigBatch = nil
+}
+
+// uncoveredSrc joins ontime (partitioned by origin) with delaycause
+// (partitioned by fid) on an unbound fid: a residue route no access
+// constraint covers, answered by the baseline over routed scans.
+const uncoveredSrc = `q(origin, cause) :- ontime(f, origin, dest, al, m, delay), delaycause(f, cause, mins)`
+
+// uncoveredProbe runs uncoveredSrc on the single engine and the router and
+// reports any difference in route, verdict, answer or tuples read.
+func uncoveredProbe(eng *core.Engine, router *Router) error {
+	q, err := eng.Parse(uncoveredSrc)
+	if err != nil {
+		return err
+	}
+	want, wantRep, err := eng.Execute(q, noViews)
+	if err != nil {
+		return err
+	}
+	if kind, err := router.RouteKind(q); err != nil || kind != "residue" || wantRep.Covered {
+		return fmt.Errorf("uncovered probe routes %q (%v), covered %v; want an uncovered residue route", kind, err, wantRep.Covered)
+	}
+	got, gotRep, err := router.Execute(q, core.DefaultOptions())
+	if err != nil {
+		return fmt.Errorf("uncovered probe: %v", err)
+	}
+	if !want.Equal(got) {
+		return fmt.Errorf("uncovered probe: %d rows sharded vs %d oracle", got.Len(), want.Len())
+	}
+	return routedParity("residue", wantRep, gotRep)
 }

@@ -49,15 +49,14 @@
 //   - residue: queries that neither fast-path nor distribute as a whole
 //     (e.g. a difference whose right side reads a partitioned relation
 //     without binding its key, or a join of two partitioned relations off
-//     their keys) are answered at the router (residue.go). A covered one
-//     runs its bounded plan there, each fetch sent to the member(s)
-//     holding its index bucket (source.go), so it reads exactly what a
-//     single engine reads. An uncovered one under the baseline fallback
-//     is decomposed: maximal distributable subtrees are shipped to the
-//     shards and unioned, non-co-located joins run as a semi-join
-//     reduction followed by a hash shuffle over the member worker pools
-//     (shuffle.go), and the remaining operators are applied router-side.
-//     No engine with a full copy of the database exists any more.
+//     their keys) are answered at the router (residue.go) by the single
+//     engine's own evaluation over routed reads (source.go): a covered one
+//     runs its bounded plan, each fetch sent to the member(s) holding its
+//     index bucket; an uncovered one under the baseline fallback runs the
+//     baseline, each scan reading the members that hold the relation and
+//     keeping from each the rows the ring places there. Either way it
+//     reads exactly what a single engine reads. No engine with a full copy
+//     of the database exists any more.
 //
 // # Writes
 //
@@ -247,8 +246,8 @@ type partState struct {
 // core.Service over the cluster, so the HTTP front end (internal/server)
 // and the replay harness (internal/bench) serve it exactly like a single
 // engine. No member holds the full database; queries whose shape cannot
-// be distributed are decomposed and executed across the shards by the
-// residue executor (residue.go).
+// be distributed are evaluated at the router over reads routed to the
+// shards (residue.go).
 //
 // A Router is safe for concurrent use. All reads and writes must go
 // through it once it is built: New consumes the source database to build
@@ -325,10 +324,8 @@ type Router struct {
 	// routed counts routing decisions by kind.
 	routed [3]atomic.Int64
 
-	// Residue-execution counters (residue.go, shuffle.go, move.go),
+	// Residue-execution counters (residue.go, source.go, move.go),
 	// surfaced by ResidueStats.
-	resSemiJoins    atomic.Int64
-	resShuffles     atomic.Int64
 	resRepartitions atomic.Int64
 	resBytesShipped atomic.Int64
 	resEvaluated    atomic.Int64
@@ -1204,24 +1201,23 @@ func (r *Router) RouteStats() RouteStats {
 	}
 }
 
-// ResidueStats counts the work of the residue evaluator and the placement
+// ResidueStats counts the work of residue routes and the placement
 // migrator, surfaced by GET /stats.
 type ResidueStats struct {
-	// SemiJoins counts semi-join reductions applied before a shuffle;
-	// Shuffles counts hash-shuffle joins executed over the member pools.
-	SemiJoins, Shuffles int64
 	// BroadcastRels is the number of relations currently broadcast to
 	// every shard (the non-partitioned set).
 	BroadcastRels int
 	// Repartitions counts completed placement changes (Repartition calls
 	// and automatic demotions).
 	Repartitions int64
-	// BytesShipped approximates the volume moved between members by
-	// shuffles: the encoded size of every row handed to a shuffle bucket.
+	// BytesShipped is the encoded size of the rows routed scans returned
+	// to the router: what the baseline's scans would put on the wire in a
+	// multi-node deployment. Covered routes' fetches are not counted.
 	BytesShipped int64
-	// Evaluated counts residue-routed queries answered by the conventional
-	// evaluator: uncovered queries under Options.FallbackToBaseline.
-	// Covered ones run their bounded plan over routed fetches instead.
+	// Evaluated counts residue-routed queries answered by the baseline
+	// over routed scans: uncovered queries under
+	// Options.FallbackToBaseline. Covered ones run their bounded plan over
+	// routed fetches instead.
 	Evaluated int64
 }
 
@@ -1229,8 +1225,6 @@ type ResidueStats struct {
 func (r *Router) ResidueStats() ResidueStats {
 	ps := r.part.Load()
 	return ResidueStats{
-		SemiJoins:     r.resSemiJoins.Load(),
-		Shuffles:      r.resShuffles.Load(),
 		BroadcastRels: len(r.schema.Relations()) - len(ps.keys),
 		Repartitions:  r.resRepartitions.Load(),
 		BytesShipped:  r.resBytesShipped.Load(),
@@ -1262,10 +1256,8 @@ func (r *Router) RouteKind(q ra.Query) (string, error) {
 // PerShardStats returns one observability snapshot per member engine —
 // live shards labeled "shard/i" in order — for the /stats per-shard
 // breakdown. Queries counts executions routed to each engine (including
-// the fetch batches of routed plans and the subtree executions shipped by
-// the residue evaluator); comparing them
-// across shards exposes routing skew, and comparing DBSize exposes data
-// skew.
+// the fetch batches and scans of residue routes); comparing them across
+// shards exposes routing skew, and comparing DBSize exposes data skew.
 func (r *Router) PerShardStats() []core.EngineStat {
 	st := r.state.Load()
 	out := make([]core.EngineStat, 0, len(st.members))

@@ -1,7 +1,8 @@
-// Routed fetches: the exec.Source a covered residue query's bounded plan
-// runs over at the router. The plan is the one a single engine would run
-// (compiled once on the anchor and cached there); only where each fetch
-// step reads its index buckets changes. A fetch on relation R goes
+// Routed reads: the exec.Source a residue query runs over at the router.
+// A covered query runs the bounded plan a single engine would run
+// (compiled once on the anchor and cached there), an uncovered one the
+// baseline; only where each fetch or scan reads its rows changes. A fetch
+// on relation R goes
 //
 //   - to the ring owner of the bound key value, when R is partitioned and
 //     its partition key is among the fetch's X attributes — that member
@@ -17,27 +18,39 @@
 // global bucket too, charged once when every member comes back empty.
 // D ⊨ A holds globally, so a unioned bucket still has at most N rows.
 //
+// A scan of R reads the anchor's copy when R is broadcast. When R is
+// partitioned it reads every member and keeps from member i only the rows
+// the captured ring places on i. Invariant 1 of move.go makes every member
+// complete for what the (ring, placement) snapshot places on it, so the
+// kept rows are all of R, each exactly once: a move's surplus copies fail
+// the owner test and are dropped without comparing tuples, and Scanned
+// equals the single engine's.
+//
 // Mid-move reads need no protocol of their own. The source routes by the
-// (ring, placement) snapshot Execute captured under the read fence, and
-// invariant 1 of move.go keeps every member complete for what that
-// snapshot places on it; surplus copies a move leaves on other members are
-// either not read (owner routes) or dropped by the union (scatter routes).
+// snapshot Execute captured under the read fence; surplus copies a move
+// leaves on other members are either not read (owner routes), dropped by
+// the union (fetches on every member) or dropped by the owner filter
+// (scans).
 package shard
 
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/access"
 	"repro/internal/value"
 )
 
-// routedSource serves one plan execution's fetches from the members of
-// one captured routing snapshot. Member batches run one after another on
-// the calling goroutine, each under one store lock acquisition.
+// routedSource serves one residue execution's fetches and scans from the
+// members of one captured routing snapshot. Member reads run one after
+// another on the calling goroutine, each under one store lock
+// acquisition. shipped accumulates the encoded size of the rows scans
+// return to the router (ResidueStats.BytesShipped).
 type routedSource struct {
-	st *ringState
-	ps *partState
+	st      *ringState
+	ps      *partState
+	shipped *atomic.Int64
 }
 
 // Fetch serves a fetch with no input batch (c.X empty, xvals nil) as a
@@ -123,6 +136,46 @@ func (s routedSource) fetchAll(c access.Constraint, xs []value.Tuple, emit func(
 		emit(i, rows)
 	}
 	return nil
+}
+
+// Scan returns every tuple of rel once: the anchor's copy when rel is
+// broadcast, otherwise each member's rows that the captured ring places on
+// that member (see the file comment).
+func (s routedSource) Scan(rel string) ([]value.Tuple, error) {
+	members := s.st.members
+	pos, keyed := s.ps.keyPos[rel]
+	if !keyed {
+		members = members[:1]
+	}
+	var out []value.Tuple
+	for i, m := range members {
+		m.queries.Add(1)
+		_, err := m.eng.DB().ScanFunc(rel, func(t value.Tuple) bool {
+			if !keyed || s.st.ring.OwnerOf(t[pos]) == i {
+				out = append(out, t)
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.ship(out)
+	return out, nil
+}
+
+// ship adds the encoded size of rows to the shipped-bytes counter.
+func (s routedSource) ship(rows []value.Tuple) {
+	var buf []byte
+	n := 0
+	for _, t := range rows {
+		buf = buf[:0]
+		for _, v := range t {
+			buf = value.AppendKey(buf, v)
+		}
+		n += len(buf)
+	}
+	s.shipped.Add(int64(n))
 }
 
 // fetchOn runs one member batch, counting it in the member's queries.
