@@ -2,11 +2,12 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz-smoke bench-smoke bench-compare bench-serve bench-shard bench-durable bench-ivm bench-follower bench-exec docs-check
+.PHONY: check build vet test race gates fuzz-smoke bench-smoke bench-compare bench-serve bench-shard bench-durable bench-ivm bench-follower bench-exec docs-check
 
-# check is the full CI pipeline: compile, vet, race-enabled tests, a short
-# fuzz smoke of the parser and canonicalizer, and the documentation gate.
-check: build vet race fuzz-smoke docs-check
+# check is the full CI pipeline: compile, vet, race-enabled tests, the
+# allocation and access-budget gates, a short fuzz smoke of the parser and
+# canonicalizer, and the documentation gate.
+check: build vet race gates fuzz-smoke docs-check
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,13 @@ race:
 	$(GO) test -race -run 'TestCrashRecovery' -v ./internal/core
 	$(GO) test -race -run 'TestFollowerCrashResume' -v ./internal/follower
 	$(GO) test -race -shuffle=on -run 'TestRecordsTailReadOpensOnlyFinalSegment|TestRecoverDBRejectsDuplicateLSN' -v ./internal/wal
+
+# gates runs the two budget gates the race step never runs: both files are
+# build-tagged !race (race instrumentation skews allocation counts), so
+# they need a plain go test, exactly as CI runs them.
+gates:
+	$(GO) test -run 'TestExecAllocBudget' -v ./internal/exec
+	$(GO) test -run 'TestSeedAccessBudget' -v ./internal/ivm
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/parser

@@ -8,6 +8,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,10 +45,11 @@ const (
 // a read lock, so any number run in parallel; access-schema mutations
 // (AddConstraints, RemoveConstraint) take the write lock, which both
 // serializes them against in-flight executions and lets them invalidate
-// the plan cache atomically. Tuple-level writes (Insert, Delete) take only
-// the store's lock: by Proposition 12 the indices I_A are maintained
-// incrementally under insertions and deletions, so every cached plan stays
-// valid and queries keep running concurrently with data churn.
+// the plan cache atomically. Tuple-level writes (Insert, Delete,
+// ApplyBatch — one path, write) never take that lock: by Proposition 12
+// the indices I_A are maintained incrementally under insertions and
+// deletions, so every cached plan stays valid and queries keep running
+// concurrently with data churn.
 type Engine struct {
 	schema ra.Schema
 	acc    *access.Schema
@@ -68,11 +71,11 @@ type Engine struct {
 	// disables IVM; see SetIVMConfig). The pointer is atomic so the write
 	// path can consult it without taking a lock when no views exist.
 	views atomic.Pointer[ivm.Manager]
-	// ivmMu fences materialization against tuple writes: every write that
-	// might feed a view holds it shared across [store apply + delta
-	// dispatch], and a new view holds it exclusively across [seeding read +
-	// registration] — its compilation runs before, unfenced — so a view can
-	// neither miss a delta nor double-count one. Lock order: ivmMu → ckmu →
+	// ivmMu fences materialization against tuple writes: write holds it
+	// shared across [store apply + delta dispatch], and a new view holds it
+	// exclusively across [seeding read + registration] — its compilation
+	// runs before, unfenced — so a view can neither miss a delta nor
+	// double-count one. Lock order, everywhere: mu → ivmMu → ckmu →
 	// wstripes → db.
 	ivmMu sync.RWMutex
 
@@ -83,15 +86,18 @@ type Engine struct {
 	// ckEvery triggers a background checkpoint every ckEvery appends.
 	ckEvery int64
 	// ckmu is the checkpoint barrier: every durable mutation holds it
-	// shared across its append+apply pair, so Checkpoint (exclusive) can
-	// read a log position W with no mutation in flight — the snapshot it
-	// then saves is guaranteed to contain every op ≤ W. Ops > W may leak
-	// into the snapshot after the barrier drops; that is harmless because
-	// replay is idempotent and in-order (re-applying them converges).
+	// shared across its append+apply pair (write, AddConstraints,
+	// RemoveConstraint), so Checkpoint (exclusive) can read a log position
+	// W with no mutation in flight — the snapshot it then saves is
+	// guaranteed to contain every op ≤ W. Ops > W may leak into the
+	// snapshot after the barrier drops; that is harmless because replay is
+	// idempotent and in-order (re-applying them converges).
 	ckmu sync.RWMutex
-	// wstripes orders append vs apply per tuple: the stripe lock is held
-	// across both, so the log order of two writes to the same tuple always
-	// matches their store order (writes to different tuples commute).
+	// wstripes orders writes per tuple: write holds the stripes of its
+	// batch across [log append + store apply + delta dispatch], so the log
+	// order and the view order of two writes to the same tuple always
+	// match their store order (writes to different tuples commute). An
+	// in-memory write that no view tracks takes none.
 	wstripes [64]sync.Mutex
 	// ckBusy ensures at most one background checkpoint runs at a time.
 	ckBusy atomic.Bool
@@ -416,37 +422,6 @@ func analyzed(c *compiled, rep *Report) {
 	rep.Bounded = c.covered
 }
 
-// Prewarm runs the analysis half of the pipeline on norm — coverage
-// check, rewriting, minimization, plan generation, exactly as Execute
-// would under opts — and installs the artifact in the plan cache without
-// executing it. It exists for cluster membership changes: an engine
-// freshly built to join a sharded cluster starts with a cold cache, and
-// compilation is data-independent, so the router can prewarm it from its
-// query history before the engine receives traffic. fp must be
-// ra.FingerprintNormalized(norm) or empty (computed on demand); a query
-// already cached under the current version is left untouched.
-func (e *Engine) Prewarm(norm ra.Query, fp string, opts Options) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.plans == nil {
-		return nil
-	}
-	if fp == "" {
-		fp = ra.FingerprintNormalized(norm)
-	}
-	key := e.cacheKeyLocked(fp, opts)
-	if _, ok := e.plans.Get(key); ok {
-		return nil
-	}
-	rep := &Report{}
-	c, err := e.compile(norm, opts, rep)
-	if err != nil {
-		return err
-	}
-	e.plans.Put(key, c)
-	return nil
-}
-
 // compile runs the analysis pipeline on a normalized query: CovChk,
 // covered-form rewriting, access minimization and plan generation. Called
 // with e.mu held shared.
@@ -579,12 +554,12 @@ func (e *Engine) AddConstraints(cs ...access.Constraint) error {
 			return err
 		}
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.wal != nil {
 		e.ckmu.RLock()
 		defer e.ckmu.RUnlock()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	next := access.NewSchema(e.acc.Constraints...)
 	var built []access.Constraint
 	for _, c := range cs {
@@ -631,12 +606,12 @@ func (e *Engine) AddConstraints(cs ...access.Constraint) error {
 // use the dropped index must never be served again. It reports whether the
 // constraint was present.
 func (e *Engine) RemoveConstraint(c access.Constraint) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.wal != nil {
 		e.ckmu.RLock()
 		defer e.ckmu.RUnlock()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	kept := make([]access.Constraint, 0, len(e.acc.Constraints))
 	found := false
 	for _, old := range e.acc.Constraints {
@@ -669,30 +644,111 @@ func (e *Engine) RemoveConstraint(c access.Constraint) bool {
 // (Proposition 12), so this neither invalidates the plan cache nor blocks
 // concurrent executions beyond the store's own write lock.
 func (e *Engine) Insert(rel string, t value.Tuple) (bool, error) {
-	if e.wal != nil {
-		return e.durableWrite(rel, t, false)
-	}
-	return e.trackedWrite(rel, t, false)
+	ops := [1]store.TupleOp{{Rel: rel, T: t}}
+	changed, err := e.write(ops[:])
+	return err == nil && changed[0], err
 }
 
 // Delete removes a tuple from the database. Like Insert, it keeps every
 // cached plan valid via incremental index maintenance.
 func (e *Engine) Delete(rel string, t value.Tuple) (bool, error) {
-	if e.wal != nil {
-		return e.durableWrite(rel, t, true)
-	}
-	return e.trackedWrite(rel, t, true)
+	ops := [1]store.TupleOp{{Rel: rel, T: t, Del: true}}
+	changed, err := e.write(ops[:])
+	return err == nil && changed[0], err
 }
 
 // ApplyBatch applies a batch of tuple writes in order under a single store
-// lock acquisition (see store.DB.ApplyBatch). In durable mode every op is
-// logged before the batch is acknowledged.
+// lock acquisition. Like store.DB.ApplyBatch, an invalid op fails alone:
+// every other op is applied (and, when durable, logged) and the first
+// error is returned.
 func (e *Engine) ApplyBatch(ops []store.TupleOp) error {
-	if e.wal != nil {
-		return e.durableApplyBatch(ops)
+	_, err := e.write(ops)
+	return err
+}
+
+// write is the engine's one tuple-write path. It reports per op whether
+// the store changed, with store.DB.ApplyBatch's semantics: an invalid op
+// fails alone and the first error is returned. In lock order it
+//
+//  1. holds ivmMu shared, so no view is mid-seed while deltas flow;
+//  2. when durable, holds ckmu shared, so a checkpoint never stamps a log
+//     position between an op's append and its apply;
+//  3. when durable or when a view tracks a batched relation, holds the
+//     batch's write stripes in ascending order, so per tuple the log,
+//     store and view orders agree;
+//  4. when durable, appends every op that passes validation — an op is
+//     logged only if replaying it succeeds, recovery treats a replay
+//     failure as corruption — before anything is applied;
+//  5. applies the batch in one store lock round and folds the ops that
+//     changed the store into the tracking views.
+//
+// The log is appended before the write is acknowledged, and a durable
+// write may start a background checkpoint once its locks are released.
+func (e *Engine) write(ops []store.TupleOp) ([]bool, error) {
+	e.ivmMu.RLock()
+	mgr := e.views.Load()
+	track := false
+	for i := 0; mgr != nil && !track && i < len(ops); i++ {
+		track = mgr.Tracks(ops[i].Rel)
 	}
-	if len(ops) == 0 {
-		return nil
+	durable := e.wal != nil
+	if durable {
+		e.ckmu.RLock()
 	}
-	return e.trackedApplyBatch(ops)
+	var stripes uint64
+	if durable || track {
+		for _, op := range ops {
+			stripes |= 1 << writeStripe(op.Rel, op.T)
+		}
+		for s := stripes; s != 0; s &= s - 1 {
+			e.wstripes[bits.TrailingZeros64(s)].Lock()
+		}
+	}
+	var (
+		changed []bool
+		err     error
+	)
+	if durable {
+		for _, op := range ops {
+			if e.validateWrite(op) != nil {
+				continue // the store rejects it below with the same error
+			}
+			if _, err = e.wal.Append(wal.Record{Kind: wal.KindTuple, Op: op}); err != nil {
+				break
+			}
+		}
+	}
+	if err == nil {
+		changed, err = e.db.ApplyBatch(ops)
+		for i := 0; track && i < len(ops); i++ {
+			if changed[i] {
+				mgr.OnWrite(ops[i : i+1])
+			}
+		}
+	}
+	for s := stripes; s != 0; s &= s - 1 {
+		e.wstripes[bits.TrailingZeros64(s)].Unlock()
+	}
+	if durable {
+		e.ckmu.RUnlock()
+	}
+	e.ivmMu.RUnlock()
+	if durable {
+		e.maybeCheckpoint()
+	}
+	return changed, err
+}
+
+// writeStripe picks the write-ordering stripe of a tuple. The key is
+// encoded into a stack buffer so that picking a stripe allocates nothing.
+func writeStripe(rel string, t value.Tuple) int {
+	var buf [128]byte
+	b := append(buf[:0], rel...)
+	b = append(b, 0)
+	for _, v := range t {
+		b = value.AppendKey(b, v)
+	}
+	h := fnv.New32a()
+	h.Write(b)
+	return int(h.Sum32() % 64)
 }

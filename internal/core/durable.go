@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/access"
 	"repro/internal/ra"
 	"repro/internal/store"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -83,127 +81,18 @@ func OpenDurable(schema ra.Schema, A *access.Schema, db *store.DB, cfg DurableCo
 	return eng, nil
 }
 
-// writeStripe picks the write-ordering stripe of a tuple.
-func writeStripe(rel string, t value.Tuple) int {
-	h := fnv.New32a()
-	h.Write([]byte(rel))
-	h.Write([]byte{0})
-	h.Write([]byte(t.Key()))
-	return int(h.Sum32() % 64)
-}
-
-// durableWrite is the log-before-acknowledge path of Insert and Delete:
-// validate, append to the log, then apply to the store, holding the
-// per-tuple stripe lock across both so log order equals apply order for
-// any single tuple.
-func (e *Engine) durableWrite(rel string, t value.Tuple, del bool) (bool, error) {
-	if err := e.validateWrite(rel, t, del); err != nil {
-		return false, err
-	}
-	// The materialization fence is held shared across append+apply+delta
-	// like the non-durable path (see trackedWrite); lock order
-	// ivmMu → ckmu → stripe → db holds everywhere.
-	e.ivmMu.RLock()
-	mgr := e.views.Load()
-	track := mgr != nil && mgr.Tracks(rel)
-	e.ckmu.RLock()
-	mu := &e.wstripes[writeStripe(rel, t)]
-	mu.Lock()
-	_, err := e.wal.Append(wal.Record{Kind: wal.KindTuple, Op: store.TupleOp{Rel: rel, T: t, Del: del}})
-	if err != nil {
-		mu.Unlock()
-		e.ckmu.RUnlock()
-		e.ivmMu.RUnlock()
-		return false, err
-	}
-	var changed bool
-	if del {
-		changed, err = e.db.Delete(rel, t)
-	} else {
-		changed, err = e.db.Insert(rel, t)
-	}
-	if track && err == nil && changed {
-		mgr.OnWrite([]store.TupleOp{{Rel: rel, T: t, Del: del}})
-	}
-	mu.Unlock()
-	e.ckmu.RUnlock()
-	e.ivmMu.RUnlock()
-	e.maybeCheckpoint()
-	return changed, err
-}
-
 // validateWrite front-runs the store's own validation so that an op is
 // never logged unless replaying it will succeed: recovery treats a replay
 // failure as corruption, so the log must only ever contain applicable ops.
-func (e *Engine) validateWrite(rel string, t value.Tuple, del bool) error {
-	attrs, ok := e.schema[rel]
+func (e *Engine) validateWrite(op store.TupleOp) error {
+	attrs, ok := e.schema[op.Rel]
 	if !ok {
-		return fmt.Errorf("store: unknown relation %q", rel)
+		return fmt.Errorf("store: unknown relation %q", op.Rel)
 	}
-	if !del && len(t) != len(attrs) {
-		return fmt.Errorf("store: %s expects %d values, got %d", rel, len(attrs), len(t))
+	if !op.Del && len(op.T) != len(attrs) {
+		return fmt.Errorf("store: %s expects %d values, got %d", op.Rel, len(attrs), len(op.T))
 	}
 	return nil
-}
-
-// durableApplyBatch logs every op of the batch, then applies it in one
-// store lock round. All stripe locks covering the batch are held in
-// ascending order across append+apply, preserving per-tuple log/apply
-// agreement against concurrent single writes.
-func (e *Engine) durableApplyBatch(ops []store.TupleOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	for _, op := range ops {
-		if err := e.validateWrite(op.Rel, op.T, op.Del); err != nil {
-			return err
-		}
-	}
-	var stripes [64]bool
-	for _, op := range ops {
-		stripes[writeStripe(op.Rel, op.T)] = true
-	}
-	e.ivmMu.RLock()
-	defer e.ivmMu.RUnlock()
-	mgr := e.views.Load()
-	track := false
-	if mgr != nil {
-		for _, op := range ops {
-			if mgr.Tracks(op.Rel) {
-				track = true
-				break
-			}
-		}
-	}
-	e.ckmu.RLock()
-	defer e.ckmu.RUnlock()
-	for i := range stripes {
-		if stripes[i] {
-			e.wstripes[i].Lock()
-			defer e.wstripes[i].Unlock()
-		}
-	}
-	for _, op := range ops {
-		if _, err := e.wal.Append(wal.Record{Kind: wal.KindTuple, Op: op}); err != nil {
-			return err
-		}
-	}
-	changed, err := e.db.ApplyBatchReport(ops)
-	if track {
-		var delta []store.TupleOp
-		for i, op := range ops {
-			if changed[i] {
-				delta = append(delta, op)
-			}
-		}
-		if len(delta) > 0 {
-			mgr.OnWrite(delta)
-		}
-	}
-	// Non-blocking: the checkpoint itself runs on a fresh goroutine and
-	// waits for this batch's locks to drop.
-	e.maybeCheckpoint()
-	return err
 }
 
 // maybeCheckpoint starts a background checkpoint when the replay debt

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/ra"
 	"repro/internal/store"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -58,6 +61,74 @@ func assertSameAnswers(t *testing.T, d *workload.Dataset, got, want *Engine) {
 			t.Errorf("%s: recovered answer differs from oracle", tpl.Name)
 		}
 	}
+}
+
+// assertSameStore requires got and want to hold the same tuples in every
+// relation of schema.
+func assertSameStore(t *testing.T, schema ra.Schema, got, want *store.DB) {
+	t.Helper()
+	for rel := range schema {
+		if g, w := storeKeys(t, got, rel), storeKeys(t, want, rel); !slices.Equal(g, w) {
+			t.Fatalf("relation %s: %d tuples, want %d, or the tuples differ", rel, len(g), len(w))
+		}
+	}
+}
+
+func storeKeys(t *testing.T, db *store.DB, rel string) []string {
+	t.Helper()
+	rows, err := db.Rows(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = r.Key()
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestApplyBatchInvalidOpFailsAloneInBothModes: an invalid op in the
+// middle of a batch fails alone on an in-memory and on a durable engine
+// alike — the ops around it are applied, the durable engine logs exactly
+// those, and recovery rebuilds the same store.
+func TestApplyBatchInvalidOpFailsAloneInBothModes(t *testing.T) {
+	d := workload.Airca()
+	dir := t.TempDir()
+	var engs []*Engine
+	for _, durable := range []bool{false, true} {
+		db, err := d.Gen(0.01, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(d.Schema, d.Access, db)
+		if durable {
+			eng, err = OpenDurable(d.Schema, d.Access, db, durableTestConfig(dir))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs = append(engs, eng)
+	}
+	mem, dur := engs[0], engs[1]
+	rows := sampleRows(t, mem.DB(), "ontime", 2)
+	batch := []store.TupleOp{
+		{Rel: "ontime", T: rows[0], Del: true},
+		{Rel: "ontime", T: rows[0][:2]}, // wrong arity
+		{Rel: "ontime", T: rows[1], Del: true},
+	}
+	for _, eng := range engs {
+		if err := eng.ApplyBatch(batch); err == nil || !strings.Contains(err.Error(), "expects") {
+			t.Fatalf("ApplyBatch error = %v, want the arity failure", err)
+		}
+	}
+	assertSameStore(t, d.Schema, dur.DB(), mem.DB())
+	rec, err := OpenDurable(d.Schema, nil, nil, durableTestConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	assertSameStore(t, d.Schema, rec.DB(), mem.DB())
 }
 
 func TestDurableEngineRecoversWritesAndConstraints(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/ivm"
-	"repro/internal/store"
-	"repro/internal/value"
 )
 
 // viewKey derives the serving key of a materialized answer. The answer of
@@ -80,81 +78,4 @@ func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *ex
 	}
 	// A failed seeding is recorded as a denial by Install itself.
 	_ = mgr.Install(key, v, e.db, c, cost)
-}
-
-// trackedWrite is the non-durable write path of an IVM-enabled engine:
-// when any live view depends on rel, the store apply and the view delta
-// dispatch happen under one per-tuple stripe lock, so store order and
-// view order agree for every tuple.
-func (e *Engine) trackedWrite(rel string, t value.Tuple, del bool) (bool, error) {
-	e.ivmMu.RLock()
-	defer e.ivmMu.RUnlock()
-	mgr := e.views.Load()
-	if mgr == nil || !mgr.Tracks(rel) {
-		// No view depends on rel, and holding the fence shared means no
-		// view over rel can be mid-build either — write plainly.
-		if del {
-			return e.db.Delete(rel, t)
-		}
-		return e.db.Insert(rel, t)
-	}
-	mu := &e.wstripes[writeStripe(rel, t)]
-	mu.Lock()
-	defer mu.Unlock()
-	var (
-		changed bool
-		err     error
-	)
-	if del {
-		changed, err = e.db.Delete(rel, t)
-	} else {
-		changed, err = e.db.Insert(rel, t)
-	}
-	if err == nil && changed {
-		mgr.OnWrite([]store.TupleOp{{Rel: rel, T: t, Del: del}})
-	}
-	return changed, err
-}
-
-// trackedApplyBatch is ApplyBatch for an IVM-enabled engine: when a view
-// depends on any batched relation, the batch holds its stripe locks
-// across apply+dispatch (like the durable path) and forwards exactly the
-// ops that changed the store.
-func (e *Engine) trackedApplyBatch(ops []store.TupleOp) error {
-	e.ivmMu.RLock()
-	defer e.ivmMu.RUnlock()
-	mgr := e.views.Load()
-	track := false
-	if mgr != nil {
-		for _, op := range ops {
-			if mgr.Tracks(op.Rel) {
-				track = true
-				break
-			}
-		}
-	}
-	if !track {
-		return e.db.ApplyBatch(ops)
-	}
-	var stripes [64]bool
-	for _, op := range ops {
-		stripes[writeStripe(op.Rel, op.T)] = true
-	}
-	for i := range stripes {
-		if stripes[i] {
-			e.wstripes[i].Lock()
-			defer e.wstripes[i].Unlock()
-		}
-	}
-	changed, err := e.db.ApplyBatchReport(ops)
-	var delta []store.TupleOp
-	for i, op := range ops {
-		if changed[i] {
-			delta = append(delta, op)
-		}
-	}
-	if len(delta) > 0 {
-		mgr.OnWrite(delta)
-	}
-	return err
 }

@@ -551,3 +551,163 @@ func TestIVMConcurrentStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestIVMWritePathModes is the write-path wall across engine modes:
+// {in-memory, durable} × {IVM off, IVM forced} engines receive one seeded
+// stream of Insert, Delete and ApplyBatch — including set-semantics no-ops
+// and one batch carrying an invalid op. After every step each engine
+// reports the same per-write outcome and serves every template exactly as
+// the in-memory IVM-off oracle answers it; afterwards both durable engines
+// recover their store from the log alone.
+func TestIVMWritePathModes(t *testing.T) {
+	d := workload.Airca()
+	type mode struct {
+		name string
+		dir  string // "" for in-memory
+		ivm  bool
+	}
+	modes := []mode{
+		{name: "memory"},
+		{name: "memory+ivm", ivm: true},
+		{name: "durable", dir: t.TempDir()},
+		{name: "durable+ivm", dir: t.TempDir(), ivm: true},
+	}
+	engs := make([]*Engine, len(modes))
+	for i, m := range modes {
+		db, err := d.Gen(0.02, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.dir == "" {
+			engs[i], err = NewEngine(d.Schema, d.Access, db)
+		} else {
+			engs[i], err = OpenDurable(d.Schema, d.Access, db, durableTestConfig(m.dir))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ivm {
+			engs[i].SetIVMConfig(aggressiveIVM())
+		} else {
+			engs[i].SetIVMConfig(ivm.Config{})
+		}
+	}
+	oracle := engs[0]
+
+	var queries []ra.Query
+	for _, tpl := range d.Templates() {
+		q, err := oracle.Parse(tpl.Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	served := make([]int, len(modes)) // answers served from a view
+	check := func(step string) {
+		t.Helper()
+		for qi, q := range queries {
+			want, _, err := oracle.Execute(q, DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: template %d oracle: %v", step, qi, err)
+			}
+			for i, eng := range engs[1:] {
+				got, rep, err := eng.Execute(q, DefaultOptions())
+				if err != nil {
+					t.Fatalf("%s: template %d on %s: %v", step, qi, modes[i+1].name, err)
+				}
+				if rep.Materialized {
+					served[i+1]++
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s: template %d on %s diverged from the oracle\ngot:  %s\nwant: %s",
+						step, qi, modes[i+1].name, got.String(), want.String())
+				}
+			}
+		}
+	}
+	// Two passes make every template a view under the forced config.
+	check("heat")
+	check("heat")
+
+	// Write material: rows the templates read, so deltas reach views.
+	// Deleting an absent row and inserting a present one are no-ops.
+	var pool []store.TupleOp
+	for _, rel := range []string{"ontime", "delaycause", "airport", "carrier"} {
+		for _, r := range sampleRows(t, oracle.DB(), rel, 12) {
+			pool = append(pool, store.TupleOp{Rel: rel, T: r})
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	pick := func() store.TupleOp {
+		op := pool[rng.Intn(len(pool))]
+		op.Del = rng.Intn(2) == 0
+		return op
+	}
+	flip := func(op store.TupleOp) store.TupleOp {
+		present, err := oracle.DB().Has(op.Rel, op.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.Del = present
+		return op
+	}
+	for step := 0; step < 60; step++ {
+		name := fmt.Sprintf("step %d", step)
+		var ops []store.TupleOp
+		batch := step%3 == 2
+		if batch {
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				ops = append(ops, pick())
+			}
+			if step == 32 {
+				// Effective writes around an invalid one, which must fail
+				// alone in every mode.
+				ops = []store.TupleOp{flip(pool[0]), {Rel: "ontime", T: itup(1, 2)}, flip(pool[1])}
+			}
+		} else {
+			ops = []store.TupleOp{pick()}
+		}
+		present, err := oracle.DB().Has(ops[0].Rel, ops[0].T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, eng := range engs {
+			var changed bool
+			switch {
+			case batch:
+				err = eng.ApplyBatch(ops)
+			case ops[0].Del:
+				changed, err = eng.Delete(ops[0].Rel, ops[0].T)
+			default:
+				changed, err = eng.Insert(ops[0].Rel, ops[0].T)
+			}
+			if wantErr := step == 32; (err != nil) != wantErr {
+				t.Fatalf("%s on %s: err = %v, want error %v", name, modes[i].name, err, wantErr)
+			}
+			if !batch && changed != (present == ops[0].Del) {
+				t.Fatalf("%s on %s: changed = %v, but the tuple was present = %v", name, modes[i].name, changed, present)
+			}
+		}
+		check(name)
+	}
+	for i, m := range modes {
+		if st := engs[i].IVMStats(); m.ivm && (served[i] == 0 || st.DeltaApplies == 0) {
+			t.Fatalf("%s: the stream never exercised maintenance: %d view serves, %+v", m.name, served[i], st)
+		}
+	}
+
+	for i, m := range modes {
+		if m.dir == "" {
+			continue
+		}
+		if err := engs[i].Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := OpenDurable(d.Schema, nil, nil, durableTestConfig(m.dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameStore(t, d.Schema, rec.DB(), oracle.DB())
+		rec.Close()
+	}
+}

@@ -2,8 +2,9 @@
 // a TANE-style search over candidate attribute sets X and targets Y using
 // group-by counting on (samples of) relation instances, keeping
 // R(X → Y, N) whenever the observed fan-out N is within a threshold.
-// Discovered constraints hold on the sampled instance by construction;
-// bounds that later grow are relaxed by store.Maintain.
+// Discovered constraints hold on the sampled instance by construction.
+// Nothing keeps them true afterwards: a later write that grows a bucket
+// past N is not detected unless store.DB.Satisfies is asked.
 package discovery
 
 import (

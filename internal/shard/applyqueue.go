@@ -4,9 +4,9 @@
 // do not serialize the whole cluster's write path: the anchor shard
 // (member 0) commits synchronously and supplies the caller's verdict,
 // while the copies destined for the other members are enqueued here and
-// applied later in coalesced batches, one store.ApplyBatch — one
-// exclusive lock acquisition per engine — per batch: O(batches), not
-// O(writes × members).
+// applied later in coalesced batches, one Engine.ApplyBatch — one
+// exclusive store lock acquisition per engine — per batch: O(batches),
+// not O(writes × members).
 //
 // Partitioned writes never queue: they commit synchronously on their
 // owner(s). In durable mode they still pass through enqueue so the

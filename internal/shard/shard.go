@@ -660,7 +660,7 @@ func (r *Router) prewarmFresh(fresh []*member) {
 	for _, m := range fresh {
 		for fp, e := range entries {
 			opts := core.Options{Cache: true, Minimize: e.minimize, Rewrite: e.rewrite}
-			_ = m.eng.Prewarm(e.norm, fp, opts)
+			_, _ = m.eng.Analyze(e.norm, fp, opts)
 		}
 	}
 }
@@ -1130,7 +1130,7 @@ func (r *Router) SetIVMConfig(cfg ivm.Config) {
 // PurgeMaterializations drops every live materialized answer on every
 // engine. A placement move calls it before its bulk copy phase: views
 // would stay coherent through the move (its copies flow
-// through the same engine write paths as client writes), but paying
+// through the same engine write path as client writes), but paying
 // per-tuple delta maintenance for a whole-slice copy is pure waste, and
 // the rows land on engines whose fingerprints never earned them.
 func (r *Router) PurgeMaterializations() {

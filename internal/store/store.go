@@ -202,26 +202,19 @@ type TupleOp struct {
 
 // ApplyBatch applies ops in order under a single acquisition of the write
 // lock, maintaining every index incrementally exactly like Insert and
-// Delete. It exists for batched appliers (the replica apply queue of
-// internal/shard) that turn O(writes) lock acquisitions into O(batches):
-// one call costs one exclusive lock round regardless of batch size, and
-// readers are blocked once per batch instead of once per tuple.
+// Delete, and reports per op whether it changed the store: changed[i] is
+// false for an insert of a present tuple or a delete of an absent one
+// (set-semantics no-ops) and for a failed op. One call costs one
+// exclusive lock round regardless of batch size, so batched appliers (the
+// replica apply queue of internal/shard) block readers once per batch
+// instead of once per tuple; the engine's write path needs the flags
+// because a no-op write must not emit a view delta.
 //
 // Every op is attempted even after a failure (ops are independent
 // per-tuple writes, and a batched applier must converge on the applicable
-// suffix); the first error is returned.
-func (db *DB) ApplyBatch(ops []TupleOp) error {
-	_, err := db.ApplyBatchReport(ops)
-	return err
-}
-
-// ApplyBatchReport is ApplyBatch plus a per-op changed flag: changed[i]
-// reports whether op i actually altered the store (an insert of a present
-// tuple and a delete of an absent one are set-semantics no-ops). The
-// engine's materialized-view maintenance needs the flags — a no-op write
-// must not emit a delta — while plain batched appliers keep the cheaper
-// ApplyBatch signature.
-func (db *DB) ApplyBatchReport(ops []TupleOp) ([]bool, error) {
+// suffix); the first error is returned. A durable engine logs exactly the
+// ops that pass the same checks, so replaying its log rebuilds this store.
+func (db *DB) ApplyBatch(ops []TupleOp) ([]bool, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
@@ -335,9 +328,6 @@ type Index struct {
 	xpos   []int    // positions of X in the base relation
 	cpos   []int    // positions of cols in the base relation
 	bucket map[string]map[string]*refRow
-	// MaxFan tracks the largest bucket (distinct XY count per X value),
-	// i.e. the tightest valid N for this X→Y pair on the current instance.
-	MaxFan int
 }
 
 type refRow struct {
@@ -439,9 +429,6 @@ func (idx *Index) insert(t value.Tuple) {
 		rr.n++
 	} else {
 		b[pk] = &refRow{t: proj, n: 1}
-		if len(b) > idx.MaxFan {
-			idx.MaxFan = len(b)
-		}
 	}
 }
 
@@ -633,7 +620,7 @@ func (db *DB) FetchBatch(c access.Constraint, xs []value.Tuple, emit func(i int,
 	return nil
 }
 
-// --- constraint validation & maintenance ----------------------------------
+// --- constraint validation ----------------------------------------------
 
 // Satisfies verifies that the current instance satisfies constraint c,
 // i.e. every X value has at most N distinct Y projections.
@@ -664,26 +651,4 @@ func (db *DB) SatisfiesAll(A *access.Schema) error {
 		}
 	}
 	return nil
-}
-
-// Maintain adjusts the cardinality bounds of A to the current instance:
-// constraints whose MaxFan grew beyond N are relaxed to the observed
-// fan-out (the paper's "constraints determined by policies and statistics
-// are maintained"). It returns the adjusted constraints.
-func (db *DB) Maintain(A *access.Schema) []access.Constraint {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var adjusted []access.Constraint
-	for i, c := range A.Constraints {
-		idx, ok := db.indexes[c.Key()]
-		if !ok {
-			continue
-		}
-		if idx.MaxFan > c.N {
-			A.Constraints[i].N = idx.MaxFan
-			idx.Con.N = idx.MaxFan
-			adjusted = append(adjusted, A.Constraints[i])
-		}
-	}
-	return adjusted
 }

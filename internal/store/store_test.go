@@ -189,29 +189,6 @@ func TestSatisfies(t *testing.T) {
 	}
 }
 
-func TestMaintainRelaxesN(t *testing.T) {
-	db := NewDB(testSchema())
-	A := access.NewSchema(access.Constraint{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 1})
-	if err := db.BuildIndexes(A); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := db.Insert("r", value.Tuple{iv(1), iv(i), iv(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	adjusted := db.Maintain(A)
-	if len(adjusted) != 1 {
-		t.Fatalf("Maintain adjusted %d constraints", len(adjusted))
-	}
-	if A.Constraints[0].N != 4 {
-		t.Errorf("N relaxed to %d, want 4", A.Constraints[0].N)
-	}
-	if err := db.SatisfiesAll(A); err != nil {
-		t.Errorf("after Maintain: %v", err)
-	}
-}
-
 func TestScanCountsAccesses(t *testing.T) {
 	db := NewDB(testSchema())
 	for i := 0; i < 7; i++ {
@@ -263,19 +240,6 @@ func TestIndexEntriesAndCols(t *testing.T) {
 	}
 }
 
-func TestMaxFanTracksLargestBucket(t *testing.T) {
-	db := NewDB(testSchema())
-	c := access.Constraint{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 100}
-	idx, _ := db.BuildIndex(c)
-	for i := 0; i < 5; i++ {
-		db.Insert("r", value.Tuple{iv(1), iv(i), iv(0)}) //nolint:errcheck
-	}
-	db.Insert("r", value.Tuple{iv(2), iv(0), iv(0)}) //nolint:errcheck
-	if idx.MaxFan != 5 {
-		t.Errorf("MaxFan = %d, want 5", idx.MaxFan)
-	}
-}
-
 // TestApplyBatch pins the batched write entry point: ops apply in order
 // under one lock round with full incremental index maintenance, a bad op
 // reports its error without aborting the applicable suffix, and set
@@ -288,7 +252,7 @@ func TestApplyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tup := func(a, b, cc int) value.Tuple { return value.Tuple{iv(a), iv(b), iv(cc)} }
-	err = db.ApplyBatch([]TupleOp{
+	_, err = db.ApplyBatch([]TupleOp{
 		{Rel: "r", T: tup(1, 10, 0)},            // insert
 		{Rel: "r", T: tup(1, 10, 0)},            // duplicate: no-op
 		{Rel: "r", T: tup(2, 20, 0)},            // insert
@@ -327,19 +291,19 @@ func TestApplyBatch(t *testing.T) {
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("Fetch after batch: rows=%v err=%v", rows, err)
 	}
-	if err := db.ApplyBatch(nil); err != nil {
+	if _, err := db.ApplyBatch(nil); err != nil {
 		t.Errorf("empty batch errored: %v", err)
 	}
 }
 
-// TestApplyBatchReport pins the per-op changed flags the engine's delta
-// dispatch filters on: set-semantics no-ops (duplicate inserts, deletes
+// TestApplyBatchChangedFlags pins the per-op changed flags the engine's
+// delta dispatch filters on: set-semantics no-ops (duplicate inserts, deletes
 // of absent tuples) must report false, effective ops true, and failed
 // ops false — positionally aligned with the input batch.
-func TestApplyBatchReport(t *testing.T) {
+func TestApplyBatchChangedFlags(t *testing.T) {
 	db := NewDB(testSchema())
 	tup := func(a, b, cc int) value.Tuple { return value.Tuple{iv(a), iv(b), iv(cc)} }
-	changed, err := db.ApplyBatchReport([]TupleOp{
+	changed, err := db.ApplyBatch([]TupleOp{
 		{Rel: "r", T: tup(1, 10, 0)},            // insert: changed
 		{Rel: "r", T: tup(1, 10, 0)},            // duplicate: unchanged
 		{Rel: "r", T: tup(1, 10, 0), Del: true}, // delete: changed
