@@ -344,6 +344,18 @@ func (db *DB) BuildIndex(c access.Constraint) (*Index, error) {
 }
 
 func (db *DB) buildIndex(c access.Constraint) (*Index, error) {
+	idx, err := db.newIndex(c)
+	if err != nil {
+		return nil, err
+	}
+	db.indexes[c.Key()] = idx
+	return idx, nil
+}
+
+// newIndex builds the index for constraint c from the current instance
+// without registering it. It only reads the store, so db.mu held shared
+// is enough.
+func (db *DB) newIndex(c access.Constraint) (*Index, error) {
 	if err := c.Validate(db.Schema); err != nil {
 		return nil, err
 	}
@@ -364,7 +376,6 @@ func (db *DB) buildIndex(c access.Constraint) (*Index, error) {
 	for _, t := range r.rows {
 		idx.insert(t)
 	}
-	db.indexes[c.Key()] = idx
 	return idx, nil
 }
 
@@ -623,14 +634,16 @@ func (db *DB) FetchBatch(c access.Constraint, xs []value.Tuple, emit func(i int,
 // --- constraint validation ----------------------------------------------
 
 // Satisfies verifies that the current instance satisfies constraint c,
-// i.e. every X value has at most N distinct Y projections.
+// i.e. every X value has at most N distinct Y projections. It is a
+// read-only check: a constraint without an index is checked through a
+// throwaway one that is never registered for maintenance.
 func (db *DB) Satisfies(c access.Constraint) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	idx, ok := db.indexes[c.Key()]
 	if !ok {
 		var err error
-		idx, err = db.buildIndex(c)
+		idx, err = db.newIndex(c)
 		if err != nil {
 			return err
 		}

@@ -180,12 +180,37 @@ func TestSatisfies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	wantErr := `store: ` + c.String() + ` violated: X key "` + value.KeyOf(value.Tuple{iv(1)}, []int{0}) + `" has 3 distinct Y values`
 	if err := db.Satisfies(c); err == nil {
 		t.Error("violated constraint reported satisfied")
+	} else if err.Error() != wantErr {
+		t.Errorf("violation error = %q, want %q", err, wantErr)
 	}
 	c2 := access.Constraint{Rel: "r", X: []string{"a"}, Y: []string{"b"}, N: 3}
 	if err := db.Satisfies(c2); err != nil {
 		t.Errorf("satisfied constraint rejected: %v", err)
+	}
+	// Checking an unindexed constraint is read-only: it registers no
+	// index that later writes would have to maintain.
+	if err := db.SatisfiesAll(access.NewSchema(c2)); err != nil {
+		t.Errorf("SatisfiesAll rejected a satisfied constraint: %v", err)
+	}
+	if n := len(db.Indexes()); n != 0 {
+		t.Errorf("Satisfies on unindexed constraints left %d registered indexes, want 0", n)
+	}
+	// An indexed constraint is checked through its maintained index, with
+	// the same verdict and error text.
+	if _, err := db.BuildIndex(c); err != nil {
+		t.Fatal(err)
+	}
+	before := len(db.Indexes())
+	if err := db.SatisfiesAll(access.NewSchema(c)); err == nil {
+		t.Error("violated indexed constraint reported satisfied")
+	} else if err.Error() != wantErr {
+		t.Errorf("indexed violation error = %q, want %q", err, wantErr)
+	}
+	if n := len(db.Indexes()); n != before {
+		t.Errorf("Satisfies changed the index count %d -> %d", before, n)
 	}
 }
 
