@@ -6,8 +6,8 @@ GO ?= go
 
 # check is the full CI pipeline: compile, vet, race-enabled tests, the
 # allocation and access-budget gates, a short fuzz smoke of the parser and
-# canonicalizer, and the documentation gate.
-check: build vet race gates fuzz-smoke docs-check
+# canonicalizer, the benchmark smoke run, and the documentation gate.
+check: build vet race gates fuzz-smoke bench-smoke docs-check
 
 build:
 	$(GO) build ./...
