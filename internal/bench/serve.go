@@ -158,11 +158,11 @@ type ServeResult struct {
 	// Shards is the partition count behind the replay (0 = unsharded) and
 	// Routes the router's routing-decision counters (zero when unsharded).
 	Shards int
-	Routes shard.RouteStats
+	Routes core.RouteStats
 	// Residue is the distributed residue-executor snapshot at the end of a
 	// sharded run; ResidueOps counts client ops replayed from the residue
 	// pool under ResidueMix and ResidueQPS is their completion rate.
-	Residue    shard.ResidueStats
+	Residue    core.ResidueStats
 	ResidueOps int64
 	ResidueQPS float64
 	// Procs and CPUs record the execution parallelism of the host
@@ -195,7 +195,7 @@ type ServeResult struct {
 	WriteOps  int64
 	// Apply is the apply-queue snapshot at the end of a sharded run:
 	// Enqueued/Batches is the realized write coalescing.
-	Apply shard.ApplyQueueStats
+	Apply core.ApplyQueueStats
 	// Durability is the write-ahead-log snapshot at the end of a durable
 	// run (nil when the serving layer is in-memory). QPS here vs an
 	// in-memory run with the same WriteMix prices the logging policy.
@@ -278,8 +278,7 @@ func (r *ServeResult) Format(w io.Writer) {
 		fmt.Fprintf(w, "durability\tfsync=%s  %d wal appends to lsn %d, %d segments (%d bytes), %d checkpoints\n",
 			d.Fsync, d.Appends, d.LastLSN, d.Segments, d.SegmentBytes, d.Checkpoints)
 		if d.Fsyncs > 0 {
-			mean := float64(d.FsyncTotalMicros) / float64(d.Fsyncs)
-			fmt.Fprintf(w, "fsync\t%d calls, mean %.0fµs\n", d.Fsyncs, mean)
+			fmt.Fprintf(w, "fsync\t%d calls, mean %.0fµs\n", d.Fsyncs, d.FsyncMeanMicros)
 		}
 	}
 	fmt.Fprintf(w, "latency floor\tcold %v  hot %v  speedup %.1fx\n",
@@ -646,14 +645,14 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if res.Duration > 0 {
 		res.ResidueQPS = float64(res.ResidueOps) / res.Duration.Seconds()
 	}
-	res.Cache = cache.Stats{
-		Hits:      after.Hits - before.Hits,
-		Misses:    after.Misses - before.Misses,
-		Evictions: after.Evictions - before.Evictions,
-		Purges:    after.Purges - before.Purges,
-		Entries:   after.Entries,
-	}
-	res.HitRate = res.Cache.HitRate()
+	// after minus before; Merge re-derives HitRate over the delta.
+	res.Cache = after.Merge(cache.Stats{
+		Hits:      -before.Hits,
+		Misses:    -before.Misses,
+		Evictions: -before.Evictions,
+		Purges:    -before.Purges,
+	})
+	res.HitRate = res.Cache.HitRate
 	if durable {
 		// Snapshot the log counters before Close seals the segments, then
 		// close cleanly: an append/fsync failure the replay never saw

@@ -17,22 +17,36 @@ import (
 	"sync/atomic"
 )
 
-// Stats is a snapshot of cache effectiveness counters.
+// Stats is a snapshot of cache effectiveness counters, in the JSON form
+// GET /stats serves.
 type Stats struct {
-	Hits      int64 // Get found a live entry
-	Misses    int64 // Get found nothing
-	Evictions int64 // entries displaced by capacity pressure
-	Purges    int64 // entries dropped by Purge (invalidation)
-	Entries   int   // live entries right now
+	Hits      int64 `json:"hits"`      // Get found a live entry
+	Misses    int64 `json:"misses"`    // Get found nothing
+	Evictions int64 `json:"evictions"` // entries displaced by capacity pressure
+	Purges    int64 `json:"purges"`    // entries dropped by Purge (invalidation)
+	Entries   int   `json:"entries"`   // live entries right now
+	// HitRate is Hits / (Hits + Misses), or 0 when no lookups happened.
+	HitRate float64 `json:"hitRate"`
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 when no lookups happened.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
+// withHitRate returns s with HitRate derived from its counters.
+func (s Stats) withHitRate() Stats {
+	s.HitRate = 0
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
 	}
-	return float64(s.Hits) / float64(total)
+	return s
+}
+
+// Merge returns the element-wise sum of two snapshots, for cluster-wide
+// aggregation across shard engines; HitRate is re-derived from the sums.
+func (s Stats) Merge(o Stats) Stats {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Purges += o.Purges
+	s.Entries += o.Entries
+	return s.withHitRate()
 }
 
 // Cache is a sharded LRU cache with a fixed total capacity.
@@ -190,7 +204,7 @@ func (c *Cache) Stats() Stats {
 		Evictions: c.evictions.Load(),
 		Purges:    c.purges.Load(),
 		Entries:   c.Len(),
-	}
+	}.withHitRate()
 }
 
 func (s *shard) unlink(e *entry) {

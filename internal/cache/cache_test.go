@@ -80,13 +80,15 @@ func TestPurge(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	var s Stats
-	if s.HitRate() != 0 {
-		t.Fatal("zero stats should have 0 hit rate")
+	if r := New(8, 1).Stats().HitRate; r != 0 {
+		t.Fatalf("fresh cache hit rate = %v, want 0", r)
 	}
-	s = Stats{Hits: 9, Misses: 1}
-	if r := s.HitRate(); r != 0.9 {
+	s := Stats{Hits: 9, Misses: 1}.withHitRate()
+	if r := s.HitRate; r != 0.9 {
 		t.Fatalf("hit rate = %v, want 0.9", r)
+	}
+	if r := (Stats{Hits: 1, Misses: 1}).Merge(Stats{Hits: 7, Misses: 1}).HitRate; r != 0.8 {
+		t.Fatalf("merged hit rate = %v, want 0.8", r)
 	}
 }
 

@@ -16,27 +16,35 @@ var (
 	cSigMiss    atomic.Int64 // probes the filter let through to the hash table
 )
 
-// Counters is a snapshot of the executor's process-wide telemetry.
+// Counters is a snapshot of the executor's process-wide telemetry, in
+// the JSON form of the executor block of GET /stats.
 type Counters struct {
-	// Batches and Rows describe operator output volume; Rows/Batches is
-	// the mean batch width.
-	Batches, Rows int64
+	// Batches and Rows describe operator output volume; RowsPerBatch is
+	// their ratio, the mean batch width an operator hands downstream.
+	Batches      int64   `json:"batches"`
+	Rows         int64   `json:"rows"`
+	RowsPerBatch float64 `json:"rowsPerBatch"`
 	// ArenaGets counts arena checkouts (one per evaluation) and
-	// ArenaNews the subset that missed the pool; 1 - News/Gets is the pool
-	// hit rate.
-	ArenaGets, ArenaNews int64
+	// ArenaNews the subset that missed the pool; PoolHitRate is
+	// 1 - News/Gets.
+	ArenaGets   int64   `json:"arenaGets"`
+	ArenaNews   int64   `json:"arenaNews"`
+	PoolHitRate float64 `json:"poolHitRate"`
 	// ArenaBytesInUse is the memory retained by currently checked-out
 	// arenas.
-	ArenaBytesInUse int64
+	ArenaBytesInUse int64 `json:"arenaBytes"`
 	// SigBuilt, SigHit and SigMiss describe the join signature pre-filter:
 	// Hit counts probes it rejected before the hash table, Miss the probes
 	// it passed through.
-	SigBuilt, SigHit, SigMiss int64
+	SigBuilt int64 `json:"sigBuilt"`
+	SigHit   int64 `json:"sigHit"`
+	SigMiss  int64 `json:"sigMiss"`
 }
 
-// ReadCounters snapshots the executor telemetry.
+// ReadCounters snapshots the executor telemetry, deriving the mean batch
+// width and the arena pool hit rate from the counters it read.
 func ReadCounters() Counters {
-	return Counters{
+	c := Counters{
 		Batches:         cBatches.Load(),
 		Rows:            cBatchRows.Load(),
 		ArenaGets:       cArenaGet.Load(),
@@ -46,6 +54,13 @@ func ReadCounters() Counters {
 		SigHit:          cSigHit.Load(),
 		SigMiss:         cSigMiss.Load(),
 	}
+	if c.Batches > 0 {
+		c.RowsPerBatch = float64(c.Rows) / float64(c.Batches)
+	}
+	if c.ArenaGets > 0 {
+		c.PoolHitRate = 1 - float64(c.ArenaNews)/float64(c.ArenaGets)
+	}
+	return c
 }
 
 // noteBatch records one finalized operator output of n rows.

@@ -165,7 +165,7 @@ func TestFollowerCrashResume(t *testing.T) {
 	if n.ResumedFrom() == 0 {
 		t.Fatal("killed follower must resume from locally recovered state")
 	}
-	st := n.FollowerStatus()
+	st := n.Stats().Follower
 	if st.SnapshotsFetched != 0 {
 		t.Fatalf("resume downloaded %d snapshots; local recovery should need none", st.SnapshotsFetched)
 	}

@@ -116,9 +116,9 @@ func (c Config) withDefaults() Config {
 
 // Node is a read replica: a local durable engine kept in LSN parity with
 // the primary by tailing its replication stream. It implements
-// core.Service (read-only) and the front end's optional interfaces, so
-// server.New serves it exactly like a primary — plus the WaitLSN fence
-// and the follower /stats block.
+// core.Service (read-only, its Stats carrying the follower block) and
+// exposes its local log through WAL, so server.New serves it exactly like
+// a primary — plus the WaitLSN fence.
 type Node struct {
 	cfg    Config
 	cli    *server.Client
@@ -470,12 +470,14 @@ func (n *Node) WaitLSN(ctx context.Context, lsn uint64) error {
 	}
 }
 
-// FollowerStatus reports the follower-side replication view for /stats.
-func (n *Node) FollowerStatus() server.FollowerStatsWire {
+// Stats returns the local engine's observability snapshot plus the
+// follower-side replication view.
+func (n *Node) Stats() core.Stats {
+	st := n.eng.Load().Stats()
 	n.mu.Lock()
 	lc := n.lastContact
 	n.mu.Unlock()
-	return server.FollowerStatsWire{
+	st.Follower = &core.FollowerStats{
 		Primary:            n.cfg.Primary,
 		ID:                 n.cfg.ID,
 		AppliedLSN:         n.applied.Load(),
@@ -486,6 +488,7 @@ func (n *Node) FollowerStatus() server.FollowerStatsWire {
 		Reconnects:         n.reconnects.Load(),
 		SnapshotsFetched:   n.snapshots.Load(),
 	}
+	return st
 }
 
 // ResumedFrom returns the watermark recovered from local state at Open
@@ -569,10 +572,6 @@ func (n *Node) IVMStats() ivm.Stats { return n.eng.Load().IVMStats() }
 // SetIVMConfig enables (or disables) incremental view maintenance on the
 // local replica. Purely local: each follower decides its own budget.
 func (n *Node) SetIVMConfig(cfg ivm.Config) { n.eng.Load().SetIVMConfig(cfg) }
-
-// DurabilityStats exposes the local log counters (the follower is itself
-// durable).
-func (n *Node) DurabilityStats() (wal.Stats, bool) { return n.eng.Load().DurabilityStats() }
 
 // WAL exposes the follower's local log: because it is in LSN parity with
 // the primary, a follower can itself serve /wal/stream to downstream

@@ -272,7 +272,7 @@ func TestFollowerRestartResumesLocally(t *testing.T) {
 	if n2.ResumedFrom() == 0 {
 		t.Fatal("restarted follower should resume from local state")
 	}
-	if n2.FollowerStatus().SnapshotsFetched != 0 {
+	if n2.Stats().Follower.SnapshotsFetched != 0 {
 		t.Fatal("resume must not download a snapshot")
 	}
 	want := rowKeys(fencedQuery(t, pcli, friendQuery, 0))
@@ -319,7 +319,7 @@ func TestFollowerRebootstrapsAfterPrune(t *testing.T) {
 	if err := n2.WaitLSN(ctx, last); err != nil {
 		t.Fatal(err)
 	}
-	if n2.FollowerStatus().SnapshotsFetched == 0 {
+	if n2.Stats().Follower.SnapshotsFetched == 0 {
 		t.Fatal("pruned follower must re-bootstrap from a snapshot")
 	}
 	want := rowKeys(fencedQuery(t, pcli, friendQuery, 0))

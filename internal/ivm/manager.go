@@ -42,31 +42,40 @@ func (c Config) Enabled() bool { return c.Budget > 0 }
 type Stats struct {
 	// Materialized is the number of live views right now; Budget the
 	// configured ceiling.
-	Materialized int
-	Budget       int
+	Materialized int `json:"materialized"`
+	Budget       int `json:"budget"`
 	// Admitted / Evicted / Purged count view lifecycle events: admissions,
 	// budget-pressure evictions, and invalidation purges (version bumps,
 	// reshard, repartition). Rejected counts admission checks a qualifying
 	// candidate lost to the resident it would have displaced.
-	Admitted, Evicted, Purged, Rejected int64
+	Admitted int64 `json:"admitted"`
+	Evicted  int64 `json:"evicted,omitempty"`
+	Purged   int64 `json:"purged,omitempty"`
+	Rejected int64 `json:"rejected"`
 	// Hits counts reads served from a materialized answer; DeltaApplies
 	// counts tuple writes folded into a view.
-	Hits, DeltaApplies int64
+	Hits         int64 `json:"hits"`
+	DeltaApplies int64 `json:"deltaApplies"`
 	// Fallbacks counts views dropped because a delta could not be applied
 	// (the reader falls back to plan execution); Denied counts
 	// materialization attempts rejected at build time (too large, or an
 	// unsupported shape).
-	Fallbacks, Denied int64
+	Fallbacks int64 `json:"fallbacks,omitempty"`
+	Denied    int64 `json:"denied,omitempty"`
 	// SeedFetched / SeedScanned count the tuples view construction read
 	// through index buckets (bounded by the access constraints) and through
 	// relation scans (bounded only by the relation); BuildNanos is the total
 	// time constructions held the materialization fence, i.e. stalled
-	// writers.
-	SeedFetched, SeedScanned, BuildNanos int64
+	// writers, and BuildMicros the same in whole microseconds.
+	SeedFetched int64 `json:"seedFetched"`
+	SeedScanned int64 `json:"seedScanned"`
+	BuildNanos  int64 `json:"-"`
+	BuildMicros int64 `json:"buildMicros"`
 }
 
 // Merge returns the element-wise sum of two snapshots, for cluster-wide
-// aggregation across shard engines.
+// aggregation across shard engines; BuildMicros is re-derived from the
+// summed BuildNanos.
 func (s Stats) Merge(o Stats) Stats {
 	s.Materialized += o.Materialized
 	s.Budget += o.Budget
@@ -81,6 +90,7 @@ func (s Stats) Merge(o Stats) Stats {
 	s.SeedFetched += o.SeedFetched
 	s.SeedScanned += o.SeedScanned
 	s.BuildNanos += o.BuildNanos
+	s.BuildMicros = s.BuildNanos / 1e3
 	return s
 }
 
@@ -397,6 +407,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	live := len(m.views)
 	m.mu.RUnlock()
+	build := m.buildNanos.Load()
 	return Stats{
 		Materialized: live,
 		Budget:       m.cfg.Budget,
@@ -410,6 +421,7 @@ func (m *Manager) Stats() Stats {
 		Denied:       m.denied.Load(),
 		SeedFetched:  m.seedFetched.Load(),
 		SeedScanned:  m.seedScanned.Load(),
-		BuildNanos:   m.buildNanos.Load(),
+		BuildNanos:   build,
+		BuildMicros:  build / 1e3,
 	}
 }

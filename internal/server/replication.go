@@ -30,16 +30,10 @@ const walStreamHeartbeat = time.Second
 // walSource is implemented by core.Service implementations backed by a
 // write-ahead log that replication can tail (core.Engine, shard.Router,
 // and the follower node itself — cascading a stream re-serves the same
-// LSN sequence). WAL may return nil when durability is off.
+// LSN sequence). WAL may return nil when durability is off. /insert and
+// /delete read the log's last LSN through it for MutateResponse.LSN.
 type walSource interface {
 	WAL() *wal.Log
-}
-
-// followerSider is implemented by services that ARE followers (the node
-// of internal/follower); /stats folds their replica view in and /wal/ack
-// style lag is read from the other side.
-type followerSider interface {
-	FollowerStatus() FollowerStatsWire
 }
 
 // replRegistry tracks follower connections and acks for /stats. The zero
@@ -314,14 +308,4 @@ func sortFollowerWires(fs []FollowerConnWire) {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}
-}
-
-// followerStats builds the follower-side /stats block (nil when the
-// service is not a follower node).
-func (s *Server) followerStats() *FollowerStatsWire {
-	if fs, ok := s.eng.(followerSider); ok {
-		st := fs.FollowerStatus()
-		return &st
-	}
-	return nil
 }

@@ -12,9 +12,16 @@
 //	POST /delete   delete a batch of tuples from one relation
 //	POST /reshard  change the shard count of a sharded serving layer online
 //	GET  /schema   relational schema + installed access constraints
-//	GET  /stats    plan-cache counters, DB/index sizes, request accounting,
-//	               ring epoch + migration progress when sharded
+//	GET  /stats    the service's stats tree (core.Stats: plan cache, sizes,
+//	               executor, IVM, log, router or follower blocks) plus
+//	               request and replication accounting
 //	GET  /healthz  liveness probe
+//
+// The front end reads its service only through core.Service, /stats and
+// /healthz included (Service.Stats, Service.Health). Three optional
+// interfaces name capabilities only some services have: resharder
+// (POST /reshard), lsnWaiter (the MinLSN read fence of a follower) and
+// walSource (the replication endpoints and the LSN of a mutation).
 //
 // The server preserves the serving-layer invariant: tuple writes through
 // /insert and /delete keep every cached plan valid (the indices I_A are
@@ -42,13 +49,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/ivm"
 	"repro/internal/parser"
 	"repro/internal/ra"
 	"repro/internal/shard"
 	"repro/internal/value"
-	"repro/internal/wal"
 )
 
 // Config tunes a Server. The zero value is usable: DefaultConfig fills in
@@ -549,12 +553,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request,
 		Applied:   applied,
 		Version:   s.eng.Version(),
 	}
-	if d, ok := s.eng.(durabler); ok {
+	if log := s.walLog(); log != nil {
 		// The log LSN after the batch: a client that stamps it as MinLSN
 		// on a follower read is guaranteed to observe this batch.
-		if ws, on := d.DurabilityStats(); on {
-			resp.LSN = ws.LastLSN
-		}
+		resp.LSN = log.LastLSN()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -584,50 +586,11 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// perShardStatser is implemented by sharded core.Service implementations
-// (the router of internal/shard) that can break /stats down by engine.
-type perShardStatser interface {
-	PerShardStats() []core.EngineStat
-}
-
 // resharder is implemented by core.Service implementations that can
 // change their shard count online (the router of internal/shard). The
-// front end exposes it as POST /reshard and folds RingStatus into /stats.
+// front end exposes it as POST /reshard.
 type resharder interface {
 	Reshard(ctx context.Context, targetN int) (*shard.ReshardReport, error)
-	RingStatus() shard.RingStatus
-}
-
-// writePather is implemented by core.Service implementations with an
-// asynchronous broadcast write pipeline, a routing layer and residue
-// routes answered over routed reads (the router of internal/shard);
-// /stats folds all three counter sets in for operators.
-type writePather interface {
-	ApplyQueueStats() shard.ApplyQueueStats
-	RouteStats() shard.RouteStats
-	ResidueStats() shard.ResidueStats
-}
-
-// healther is implemented by core.Service implementations that can fail
-// partially (a durable engine or router whose log or apply pipeline hit
-// an error). A non-nil Health turns GET /healthz into 503 "degraded"
-// with the first retained error.
-type healther interface {
-	Health() error
-}
-
-// durabler is implemented by core.Service implementations backed by a
-// write-ahead log (core.OpenDurable, shard.OpenDurable); /stats folds
-// the log counters in for operators.
-type durabler interface {
-	DurabilityStats() (wal.Stats, bool)
-}
-
-// ivmStatser is implemented by core.Service implementations that
-// maintain materialized answers for hot fingerprints (core.Engine,
-// shard.Router); /stats folds the view counters in for operators.
-type ivmStatser interface {
-	IVMStats() ivm.Stats
 }
 
 // handleReshard is the admin endpoint for online rebalancing. It answers
@@ -696,154 +659,16 @@ func (s *Server) handleReshard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats renders plan-cache counters and size/request accounting,
-// plus a per-shard breakdown when the service is a sharded cluster.
+// handleStats renders the service's stats tree with the server's own
+// request and replication accounting.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Sample the apply queue before DBSize/IndexEntries: those fence (they
-	// drain the queue for read-your-writes), and the depth gauge should
-	// report the backlog as it stood when the request arrived, not after
-	// the drain.
-	var applyW *ApplyStatsWire
-	var routesW *RouteStatsWire
-	var residueW *ResidueStatsWire
-	if wp, ok := s.eng.(writePather); ok {
-		aq := wp.ApplyQueueStats()
-		applyW = &ApplyStatsWire{
-			Enqueued: aq.Enqueued,
-			Applied:  aq.Applied,
-			Depth:    aq.Depth,
-			Batches:  aq.Batches,
-			MaxBatch: aq.MaxBatch,
-			Errors:   aq.Errors,
-		}
-		rt := wp.RouteStats()
-		routesW = &RouteStatsWire{
-			Single:    rt.Single,
-			Scattered: rt.Scattered,
-			Residue:   rt.Residue,
-		}
-		rd := wp.ResidueStats()
-		residueW = &ResidueStatsWire{
-			BroadcastRels: rd.BroadcastRels,
-			Repartitions:  rd.Repartitions,
-			BytesShipped:  rd.BytesShipped,
-			Evaluated:     rd.Evaluated,
-		}
-	}
-	var duraW *DurabilityWire
-	if d, ok := s.eng.(durabler); ok {
-		if ws, on := d.DurabilityStats(); on {
-			duraW = &DurabilityWire{
-				LastLSN:       ws.LastLSN,
-				CheckpointLSN: ws.CheckpointLSN,
-				Segments:      ws.Segments,
-				SegmentBytes:  ws.SegmentBytes,
-				Appends:       ws.Appends,
-				Checkpoints:   ws.Checkpoints,
-				Fsync:         ws.Fsync,
-				Fsyncs:        ws.Fsyncs,
-			}
-			if ws.Fsyncs > 0 {
-				duraW.FsyncMeanMicros = float64(ws.FsyncTotalMicros) / float64(ws.Fsyncs)
-			}
-		}
-	}
-	var ivmW *IVMStatsWire
-	if iv, ok := s.eng.(ivmStatser); ok {
-		st := iv.IVMStats()
-		if st.Budget > 0 {
-			ivmW = &IVMStatsWire{
-				Materialized: st.Materialized,
-				Budget:       st.Budget,
-				Admitted:     st.Admitted,
-				Evicted:      st.Evicted,
-				Purged:       st.Purged,
-				Rejected:     st.Rejected,
-				Hits:         st.Hits,
-				DeltaApplies: st.DeltaApplies,
-				Fallbacks:    st.Fallbacks,
-				Denied:       st.Denied,
-				SeedFetched:  st.SeedFetched,
-				SeedScanned:  st.SeedScanned,
-				BuildMicros:  st.BuildNanos / 1e3,
-			}
-		}
-	}
-	cs := s.eng.CacheStats()
-	resp := StatsResponse{
-		Cache:         cacheWire(cs),
-		Executor:      execWire(exec.ReadCounters()),
-		Apply:         applyW,
-		Routes:        routesW,
-		Residue:       residueW,
-		Durability:    duraW,
-		IVM:           ivmW,
-		Replication:   s.replicationStats(),
-		Follower:      s.followerStats(),
-		DBSize:        s.eng.DBSize(),
-		IndexEntries:  s.eng.IndexEntries(),
-		Version:       s.eng.Version(),
+	writeJSON(w, http.StatusOK, StatsResponse{
+		Stats:         s.eng.Stats(),
 		Requests:      s.requests.Load(),
 		InFlight:      s.inFlight.Load(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-	}
-	if ps, ok := s.eng.(perShardStatser); ok {
-		for _, st := range ps.PerShardStats() {
-			resp.Shards = append(resp.Shards, ShardStatsWire{
-				Label:        st.Label,
-				Queries:      st.Queries,
-				Cache:        cacheWire(st.Cache),
-				DBSize:       st.DBSize,
-				IndexEntries: st.IndexEntries,
-				Version:      st.Version,
-			})
-		}
-	}
-	if rs, ok := s.eng.(resharder); ok {
-		status := rs.RingStatus()
-		ring := &RingStatsWire{Epoch: status.Epoch, Shards: status.Shards, Vnodes: status.Vnodes}
-		if m := status.Migration; m != nil {
-			ring.Migration = &MigrationWire{
-				From: m.From, To: m.To, Rel: m.Rel, Phase: m.Phase, Moved: m.Moved, Total: m.Total,
-			}
-		}
-		resp.Ring = ring
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// execWire converts the executor's process-wide counters to their JSON
-// form, deriving the mean batch width and the arena pool hit rate.
-func execWire(c exec.Counters) ExecStatsWire {
-	w := ExecStatsWire{
-		Batches:    c.Batches,
-		Rows:       c.Rows,
-		ArenaGets:  c.ArenaGets,
-		ArenaNews:  c.ArenaNews,
-		ArenaBytes: c.ArenaBytesInUse,
-		SigBuilt:   c.SigBuilt,
-		SigHit:     c.SigHit,
-		SigMiss:    c.SigMiss,
-	}
-	if c.Batches > 0 {
-		w.RowsPerBatch = float64(c.Rows) / float64(c.Batches)
-	}
-	if c.ArenaGets > 0 {
-		w.PoolHitRate = 1 - float64(c.ArenaNews)/float64(c.ArenaGets)
-	}
-	return w
-}
-
-// cacheWire converts plan-cache counters to their JSON form.
-func cacheWire(cs cache.Stats) CacheStatsWire {
-	return CacheStatsWire{
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		Purges:    cs.Purges,
-		Entries:   cs.Entries,
-		HitRate:   cs.HitRate(),
-	}
+		Replication:   s.replicationStats(),
+	})
 }
 
 // handleHealth answers the liveness probe: 200 "ok" normally, 503
@@ -854,12 +679,10 @@ func cacheWire(cs cache.Stats) CacheStatsWire {
 // orchestrators should replace the process and let recovery replay the
 // intact prefix.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if h, ok := s.eng.(healther); ok {
-		if err := h.Health(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable,
-				HealthResponse{Status: "degraded", Error: err.Error()})
-			return
-		}
+	if err := s.eng.Health(); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable,
+			HealthResponse{Status: "degraded", Error: err.Error()})
+		return
 	}
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }

@@ -9,8 +9,11 @@ import (
 	"repro/internal/access"
 	"repro/internal/core"
 	"repro/internal/ra"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/value"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // durableTestEngine builds the graph-search scenario of testEngine on a
@@ -124,5 +127,62 @@ func TestNonDurableHealthUnchanged(t *testing.T) {
 	}
 	if st.Durability != nil {
 		t.Fatalf("in-memory engine reports durability block %+v", st.Durability)
+	}
+}
+
+// TestMutateLSNIsLogLastLSN pins MutateResponse.LSN to the serving
+// layer's log position after the batch, for inserts and deletes, on a
+// durable engine and on a durable sharded router.
+func TestMutateLSNIsLogLastLSN(t *testing.T) {
+	d, err := workload.ByName("AIRCA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := d.Gen(0.03, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := shard.OpenDurable(d.Schema, d.Access, db,
+		shard.Spec{Shards: 3, Keys: d.ShardKeys}, core.DurableConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	eng := durableTestEngine(t, t.TempDir())
+	t.Cleanup(func() { eng.Close() })
+
+	cases := []struct {
+		name string
+		svc  interface {
+			core.Service
+			WAL() *wal.Log
+		}
+		rel string
+		tup value.Tuple
+	}{
+		{"engine", eng, "dine", value.Tuple{value.NewInt(1), value.NewInt(10)}},
+		{"router", router, "ontime", value.Tuple{value.NewInt(880002), value.NewInt(42),
+			value.NewInt(7), value.NewInt(3), value.NewInt(2), value.NewInt(15)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := startServer(t, tc.svc, Config{})
+			ctx := context.Background()
+			for _, op := range []struct {
+				name string
+				do   func(context.Context, string, []value.Tuple) (*MutateResponse, error)
+			}{{"insert", c.Insert}, {"delete", c.Delete}} {
+				resp, err := op.do(ctx, tc.rel, []value.Tuple{tc.tup})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Applied != 1 {
+					t.Fatalf("%s applied %d tuples, want 1", op.name, resp.Applied)
+				}
+				if want := tc.svc.WAL().LastLSN(); resp.LSN == 0 || resp.LSN != want {
+					t.Errorf("%s: MutateResponse.LSN = %d, want the log's last LSN %d", op.name, resp.LSN, want)
+				}
+			}
+		})
 	}
 }

@@ -178,12 +178,12 @@ func TestServerOverShardedRouter(t *testing.T) {
 // racing a real one.
 type movingRouter struct {
 	*shard.Router
-	move shard.MigrationProgress
+	move core.MigrationProgress
 }
 
-func (m movingRouter) RingStatus() shard.RingStatus {
-	st := m.Router.RingStatus()
-	st.Migration = &m.move
+func (m movingRouter) Stats() core.Stats {
+	st := m.Router.Stats()
+	st.Ring.Migration = &m.move
 	return st
 }
 
@@ -192,7 +192,7 @@ func (m movingRouter) RingStatus() shard.RingStatus {
 // reshard and shows up with the relation it is moving.
 func TestStatsReportsRepartitionInFlight(t *testing.T) {
 	router, _ := shardedService(t)
-	move := shard.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}
+	move := core.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}
 	_, cli := startServer(t, movingRouter{Router: router, move: move}, Config{MaxRows: -1})
 	stats, err := cli.Stats(context.Background())
 	if err != nil {
@@ -201,7 +201,7 @@ func TestStatsReportsRepartitionInFlight(t *testing.T) {
 	if stats.Ring == nil || stats.Ring.Migration == nil {
 		t.Fatalf("ring block = %+v, want an in-flight migration", stats.Ring)
 	}
-	if got, want := *stats.Ring.Migration, (MigrationWire{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}); got != want {
+	if got, want := *stats.Ring.Migration, (core.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}); got != want {
 		t.Errorf("migration on the wire = %+v, want %+v", got, want)
 	}
 	raw, err := json.Marshal(stats.Ring.Migration)

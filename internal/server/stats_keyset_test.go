@@ -127,7 +127,7 @@ func TestStatsKeySet(t *testing.T) {
 			}
 			t.Cleanup(func() { router.Close() })
 			return movingRouter{Router: router,
-				move: shard.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}}
+				move: core.MigrationProgress{From: 3, To: 3, Rel: "carrier", Phase: "copy", Moved: 10, Total: 40}}
 		}, slices.Concat(baseKeys, ivmKeys, durabilityKeys, routerKeys, migrationKeys)},
 	}
 	for _, tc := range cases {

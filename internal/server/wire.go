@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/value"
 )
 
@@ -131,94 +132,23 @@ type SchemaResponse struct {
 	Version     uint64           `json:"version"`
 }
 
-// CacheStatsWire is the JSON form of the plan-cache counters.
-type CacheStatsWire struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	Purges    int64   `json:"purges"`
-	Entries   int     `json:"entries"`
-	HitRate   float64 `json:"hitRate"`
-}
-
-// StatsResponse is the answer to GET /stats: plan-cache counters, database
-// and index sizes, and the server's own request accounting.
+// StatsResponse is the answer to GET /stats: the served core.Service's
+// own stats tree (core.Stats, whose fields appear at the top level of the
+// document) plus the server's request accounting and, on a durable
+// primary, its follower accounting. Each block is documented on its
+// owning type: cache.Stats, exec.Counters, ivm.Stats, wal.Stats and the
+// router and follower blocks in internal/core.
 type StatsResponse struct {
-	Cache CacheStatsWire `json:"cache"`
-	// DBSize is total tuples across base relations; IndexEntries total
-	// entries across the indices I_A. Behind a sharded router these are
-	// logical sizes (each broadcast copy counted once) while the Shards
-	// breakdown reports physical per-engine sizes.
-	DBSize       int64  `json:"dbSize"`
-	IndexEntries int64  `json:"indexEntries"`
-	Version      uint64 `json:"version"`
+	core.Stats
 	// Requests counts HTTP requests served since start; InFlight is the
 	// number of /query executions currently running.
 	Requests      int64   `json:"requests"`
 	InFlight      int64   `json:"inFlight"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Shards is the per-engine breakdown when the served core.Service is a
-	// sharded cluster (absent for a single engine). Operators read it for
-	// routing and data skew: Queries counts the queries each engine
-	// executed (a scatter counts on every shard it touched).
-	Shards []ShardStatsWire `json:"shards,omitempty"`
-	// Ring is the consistent-hash placement state (epoch, size, in-flight
-	// migration), present only for a sharded cluster.
-	Ring *RingStatsWire `json:"ring,omitempty"`
-	// Apply is the apply-queue snapshot (asynchronous broadcast write
-	// backlog and batching), present only for a sharded cluster.
-	Apply *ApplyStatsWire `json:"apply,omitempty"`
-	// Routes is the routing-decision breakdown, present only for a sharded
-	// cluster.
-	Routes *RouteStatsWire `json:"routes,omitempty"`
-	// Residue is the residue-route breakdown (baseline evaluations, bytes
-	// shipped, placement changes), present only for a sharded cluster.
-	Residue *ResidueStatsWire `json:"residue,omitempty"`
-	// Durability is the write-ahead-log snapshot, present only when the
-	// serving layer was started durable (-data-dir).
-	Durability *DurabilityWire `json:"durability,omitempty"`
-	// IVM is the materialized-answer snapshot (incremental view
-	// maintenance for hot fingerprints); absent when disabled. Behind a
-	// sharded router the counters are summed across engines.
-	IVM *IVMStatsWire `json:"ivm,omitempty"`
-	// Executor is the vectorized execution core's process-wide telemetry
-	// (batch volume, arena pooling, join signature pre-filter). Always
-	// present: every answer flows through the executor.
-	Executor ExecStatsWire `json:"executor"`
 	// Replication is the primary-side follower accounting (connected
 	// followers, acked LSNs, lag), present once a follower has connected
 	// to or bootstrapped from this durable serving layer.
 	Replication *ReplicationWire `json:"replication,omitempty"`
-	// Follower is the replica-side view when the served core.Service is a
-	// follower node: where it replicates from and how far it has applied.
-	Follower *FollowerStatsWire `json:"follower,omitempty"`
-}
-
-// ExecStatsWire is the executor block in GET /stats: process-wide
-// counters of the vectorized execution core (internal/exec), read with
-// one atomic load each. All counters are monotonic since process start.
-type ExecStatsWire struct {
-	// Batches counts operator output tables finalized; Rows the rows
-	// across them; RowsPerBatch their ratio (the mean batch width an
-	// operator hands downstream).
-	Batches      int64   `json:"batches"`
-	Rows         int64   `json:"rows"`
-	RowsPerBatch float64 `json:"rowsPerBatch"`
-	// ArenaGets counts arena checkouts (one per evaluation per worker),
-	// ArenaNews the subset that missed the sync.Pool and built a fresh
-	// arena, PoolHitRate 1 - News/Gets, and ArenaBytes the memory
-	// currently retained by checked-out arenas.
-	ArenaGets   int64   `json:"arenaGets"`
-	ArenaNews   int64   `json:"arenaNews"`
-	PoolHitRate float64 `json:"poolHitRate"`
-	ArenaBytes  int64   `json:"arenaBytes"`
-	// SigBuilt counts join signature pre-filters built; SigHit the probes
-	// they rejected before the hash table; SigMiss the probes passed
-	// through. Hit/(Hit+Miss) is the filter's selectivity on this
-	// workload.
-	SigBuilt int64 `json:"sigBuilt"`
-	SigHit   int64 `json:"sigHit"`
-	SigMiss  int64 `json:"sigMiss"`
 }
 
 // ReplicationWire is the primary-side replication block in GET /stats.
@@ -252,151 +182,6 @@ type FollowerConnWire struct {
 	LastSeenSeconds  float64 `json:"lastSeenSeconds,omitempty"`
 }
 
-// FollowerStatsWire is the follower-side replication block in GET /stats
-// of a follower node.
-type FollowerStatsWire struct {
-	// Primary is the URL this node replicates from; ID the identity it
-	// streams under.
-	Primary string `json:"primary"`
-	ID      string `json:"id"`
-	// AppliedLSN is the local applied watermark; PrimaryLSN the last LSN
-	// the primary reported (via records or heartbeats). Their difference
-	// is the replica lag in records.
-	AppliedLSN uint64 `json:"appliedLSN"`
-	PrimaryLSN uint64 `json:"primaryLSN"`
-	// Streaming reports a live stream connection; LastContactSeconds is
-	// the time since the last frame (records and heartbeats alike).
-	Streaming          bool    `json:"streaming"`
-	LastContactSeconds float64 `json:"lastContactSeconds"`
-	// RecordsApplied counts records applied since this process started;
-	// Reconnects counts stream (re)connections; SnapshotsFetched counts
-	// checkpoint bootstraps (0 after a restart that resumed locally).
-	RecordsApplied   int64 `json:"recordsApplied"`
-	Reconnects       int64 `json:"reconnects"`
-	SnapshotsFetched int64 `json:"snapshotsFetched"`
-}
-
-// IVMStatsWire is the materialized-answer snapshot in GET /stats.
-type IVMStatsWire struct {
-	// Materialized is the number of live views; Budget the configured
-	// ceiling (summed across engines on a sharded cluster).
-	Materialized int `json:"materialized"`
-	Budget       int `json:"budget"`
-	// Admitted / Evicted / Purged count view lifecycle events; Rejected
-	// counts candidates the admission gate kept out of a full budget
-	// because they were worth less than twice the view they would evict.
-	Admitted int64 `json:"admitted"`
-	Evicted  int64 `json:"evicted,omitempty"`
-	Purged   int64 `json:"purged,omitempty"`
-	Rejected int64 `json:"rejected"`
-	// Hits counts answers served straight from a view; DeltaApplies
-	// counts tuple writes folded into views.
-	Hits         int64 `json:"hits"`
-	DeltaApplies int64 `json:"deltaApplies"`
-	// Fallbacks counts views dropped on an inapplicable delta; Denied
-	// counts rejected materialization attempts.
-	Fallbacks int64 `json:"fallbacks,omitempty"`
-	Denied    int64 `json:"denied,omitempty"`
-	// SeedFetched / SeedScanned count the tuples view construction read
-	// through access-schema indices and through relation scans: admissions
-	// are bounded while the second stays small next to the first.
-	// BuildMicros is the total time constructions held the materialization
-	// fence — the time tuple writes were stalled behind admissions.
-	SeedFetched int64 `json:"seedFetched"`
-	SeedScanned int64 `json:"seedScanned"`
-	BuildMicros int64 `json:"buildMicros"`
-}
-
-// DurabilityWire is the write-ahead-log snapshot in GET /stats of a
-// durable serving layer.
-type DurabilityWire struct {
-	// LastLSN is the highest log sequence number assigned; CheckpointLSN
-	// the LSN the latest durable checkpoint covers. Their difference is
-	// the replay debt a crash right now would pay.
-	LastLSN       uint64 `json:"lastLSN"`
-	CheckpointLSN uint64 `json:"checkpointLSN"`
-	// Segments and SegmentBytes describe the live log files on disk.
-	Segments     int   `json:"segments"`
-	SegmentBytes int64 `json:"segmentBytes"`
-	// Appends counts records logged since open; Checkpoints the
-	// checkpoints written since open.
-	Appends     int64 `json:"appends"`
-	Checkpoints int64 `json:"checkpoints"`
-	// Fsync is the configured sync policy ("off", "interval", "commit");
-	// Fsyncs counts fsync calls on the append path and FsyncMeanMicros is
-	// their observed mean latency.
-	Fsync           string  `json:"fsync"`
-	Fsyncs          int64   `json:"fsyncs"`
-	FsyncMeanMicros float64 `json:"fsyncMeanMicros"`
-}
-
-// ApplyStatsWire is the apply-queue snapshot in GET /stats: the
-// asynchronous per-relation write pipeline that batches broadcast
-// applications onto non-anchor shards (internal/shard). Sampled before
-// the fencing reads of the same /stats response, so Depth reflects the
-// backlog at request arrival.
-type ApplyStatsWire struct {
-	// Enqueued counts asynchronous writes accepted since start; Applied is
-	// the watermark (writes that have reached every target engine); Depth
-	// is their difference — the current watermark lag in ops.
-	Enqueued int64 `json:"enqueued"`
-	Applied  int64 `json:"applied"`
-	Depth    int64 `json:"depth"`
-	// Batches counts batched applications (one engine write-lock
-	// acquisition each); MaxBatch is the largest batch so far.
-	Batches  int64 `json:"batches"`
-	MaxBatch int64 `json:"maxBatch"`
-	// Errors counts batch applications a target store rejected (at least
-	// one op failed); non-zero indicates a bug, since writes are validated
-	// on the anchor before they are enqueued.
-	Errors int64 `json:"errors"`
-}
-
-// RouteStatsWire is the routing-decision breakdown in GET /stats.
-type RouteStatsWire struct {
-	// Single counts single-shard executions; Scattered full
-	// scatter/gather executions; Residue residue-routed executions.
-	Single    int64 `json:"single"`
-	Scattered int64 `json:"scattered"`
-	Residue   int64 `json:"residue"`
-}
-
-// ResidueStatsWire is the residue-route breakdown in GET /stats.
-// Operators read it to size the broadcast set and to see how much row
-// volume uncovered residue queries would ship in a multi-node deployment.
-type ResidueStatsWire struct {
-	// BroadcastRels is the number of relations currently placed by
-	// broadcast (full copy on every shard).
-	BroadcastRels int `json:"broadcastRels"`
-	// Repartitions counts completed online placement changes (including
-	// automatic demotions of overgrown broadcast relations).
-	Repartitions int64 `json:"repartitions"`
-	// BytesShipped is the encoded row volume routed scans returned to the
-	// router — the traffic the baseline's scans would put on the wire
-	// across nodes. Covered residue routes ship nothing here.
-	BytesShipped int64 `json:"bytesShipped"`
-	// Evaluated counts residue-routed queries answered by the baseline over
-	// routed scans instead of a bounded plan: uncovered queries admitted by
-	// the baseline fallback.
-	Evaluated int64 `json:"evaluated"`
-}
-
-// ShardStatsWire is one engine of a sharded cluster in GET /stats.
-type ShardStatsWire struct {
-	// Label identifies the engine: "shard/0" … "shard/N-1".
-	Label string `json:"label"`
-	// Queries counts query executions routed to this engine.
-	Queries int64 `json:"queries"`
-	// Cache is the engine's own plan-cache counters.
-	Cache CacheStatsWire `json:"cache"`
-	// DBSize and IndexEntries are the engine-local physical sizes.
-	DBSize       int64 `json:"dbSize"`
-	IndexEntries int64 `json:"indexEntries"`
-	// Version is the engine's access-schema generation; all engines of a
-	// healthy cluster report the same value.
-	Version uint64 `json:"version"`
-}
-
 // ReshardRequest is the body of POST /reshard: change the live shard
 // count of a sharded serving layer online.
 type ReshardRequest struct {
@@ -424,38 +209,6 @@ type ReshardResponse struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 	// DurationMicros is the wall time of the whole move.
 	DurationMicros int64 `json:"durationMicros,omitempty"`
-}
-
-// MigrationWire is an in-flight placement move — a reshard or a
-// repartition, automatic demotions included — in GET /stats.
-type MigrationWire struct {
-	// From and To are the shard counts the move is between (equal for a
-	// repartition).
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Rel is the relation a repartition is moving; absent for a reshard,
-	// which moves every relation.
-	Rel string `json:"rel,omitempty"`
-	// Phase is "copy" (streaming, old assignment serving), "cleanup"
-	// (flipped, sweeping stragglers) or "abort" (rolling back).
-	Phase string `json:"phase"`
-	// Moved counts rows streamed so far out of an estimated Total.
-	Moved int64 `json:"moved"`
-	Total int64 `json:"total"`
-}
-
-// RingStatsWire is the consistent-hash placement state in GET /stats.
-type RingStatsWire struct {
-	// Epoch is the ring generation (starts at 1, +1 per completed
-	// reshard).
-	Epoch uint64 `json:"epoch"`
-	// Shards is the live partition count; Vnodes the virtual nodes each
-	// shard contributes to the ring.
-	Shards int `json:"shards"`
-	Vnodes int `json:"vnodes"`
-	// Migration is present only while a reshard or repartition is in
-	// flight.
-	Migration *MigrationWire `json:"migration,omitempty"`
 }
 
 // HealthResponse is the answer to GET /healthz: Status "ok" (200), or

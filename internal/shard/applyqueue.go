@@ -404,31 +404,13 @@ func (q *applyQueue) laneStats(rel string) (depth int, drains int64) {
 	return depth, ln.drains.Load()
 }
 
-// ApplyQueueStats is an observability snapshot of the broadcast apply
-// pipeline, exposed via Router.ApplyQueueStats and GET /stats.
-type ApplyQueueStats struct {
-	// Enqueued counts broadcast copy-ops accepted since the router was
-	// built; Applied is how many have reached all their target engines.
-	// Their difference is Depth, the current backlog across all lanes.
-	Enqueued, Applied, Depth int64
-	// Batches counts batched store applications — engine write-lock
-	// acquisitions. Enqueued/Batches is the realized coalescing factor.
-	Batches int64
-	// MaxBatch is the largest batch applied so far.
-	MaxBatch int64
-	// Errors counts batch applications in which the store rejected at
-	// least one op. Writes are validated before they are enqueued, so a
-	// non-zero value indicates a bug.
-	Errors int64
-}
-
 // stats snapshots the counters. Applied is read before Enqueued so the
 // derived Depth can never go negative when a drain lands between the two
 // loads.
-func (q *applyQueue) stats() ApplyQueueStats {
+func (q *applyQueue) stats() core.ApplyQueueStats {
 	app := q.appliedOps.Load()
 	enq := q.enqOps.Load()
-	return ApplyQueueStats{
+	return core.ApplyQueueStats{
 		Enqueued: enq,
 		Applied:  app,
 		Depth:    enq - app,

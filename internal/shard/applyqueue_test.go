@@ -462,3 +462,33 @@ func TestRouterWriteVerdicts(t *testing.T) {
 		t.Fatalf("replicated delete: changed=%v err=%v", ch, err)
 	}
 }
+
+// TestRouterStatsApplyDepth pins the sampling order of Router.Stats: with
+// the applier paused, N broadcast writes wait in the apply queue, and one
+// Stats call reports all N as Apply.Depth while its logical DBSize
+// already counts them (the anchor applied each synchronously). Draining
+// the queue empties Depth and leaves DBSize where it was.
+func TestRouterStatsApplyDepth(t *testing.T) {
+	_, router, _ := buildPair(t, "AIRCA", 2)
+	router.aq.paused.Store(true)
+	before := router.Stats()
+	const n = 50
+	for i := int64(0); i < n; i++ {
+		if _, err := router.Insert("carrier", freshCarrier(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := router.Stats()
+	if mid.Apply.Depth != n {
+		t.Errorf("Stats().Apply.Depth = %d with %d writes queued, want %d", mid.Apply.Depth, n, n)
+	}
+	if mid.DBSize != before.DBSize+n {
+		t.Errorf("Stats().DBSize = %d, want %d + %d queued writes", mid.DBSize, before.DBSize, n)
+	}
+	router.aq.paused.Store(false)
+	router.aq.fenceAll()
+	after := router.Stats()
+	if after.Apply.Depth != 0 || after.DBSize != mid.DBSize {
+		t.Errorf("after drain: depth %d, DBSize %d; want 0 and %d", after.Apply.Depth, after.DBSize, mid.DBSize)
+	}
+}

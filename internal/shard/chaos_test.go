@@ -267,7 +267,7 @@ func TestChaosReshardDifferential(t *testing.T) {
 				}
 				return mid
 			case <-tokens:
-				if router.RingStatus().Migration != nil {
+				if router.ringStatus().Migration != nil {
 					w.check("during " + label)
 					mid++
 				}
@@ -304,7 +304,7 @@ func TestChaosReshardDifferential(t *testing.T) {
 	if mid1 == 0 || mid2 == 0 {
 		t.Errorf("no mid-migration checks ran (grow %d, shrink %d) — harness lost its 'during' coverage", mid1, mid2)
 	}
-	stats := router.PerShardStats()
+	stats := router.Stats().Shards
 	for _, st := range stats[1:] {
 		if st.Version != stats[0].Version {
 			t.Errorf("version skew after chaos: %s at %d, %s at %d",

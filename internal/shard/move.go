@@ -112,7 +112,7 @@ const (
 	phaseAbort
 )
 
-// phaseNames renders move phases for RingStatus.
+// phaseNames renders move phases for ringStatus.
 var phaseNames = [...]string{phaseCopy: "copy", phaseCleanup: "cleanup", phaseAbort: "abort"}
 
 // assignment is one complete answer to "which members hold tuple t of
@@ -254,40 +254,12 @@ type RepartitionReport struct {
 	Duration time.Duration
 }
 
-// MigrationProgress describes an in-flight placement move for RingStatus.
-type MigrationProgress struct {
-	// From and To are the shard counts the move is between (equal for a
-	// Repartition).
-	From, To int
-	// Rel is the relation a Repartition is moving; empty for a Reshard,
-	// which moves every relation.
-	Rel string
-	// Phase is "copy", "cleanup" or "abort".
-	Phase string
-	// Moved counts row copies streamed so far out of an estimated Total
-	// (the move plan measured at start; concurrent writes can drift it).
-	Moved, Total int64
-}
-
-// RingStatus is the observable placement state: the epoch and size of the
-// live ring, and the in-flight move when a Reshard or Repartition is
-// running.
-type RingStatus struct {
-	// Epoch is the current ring epoch (starts at 1, +1 per flip).
-	Epoch uint64
-	// Shards is the live partition count; Vnodes the virtual nodes per
-	// shard on the ring.
-	Shards, Vnodes int
-	// Migration is nil when the cluster is stable.
-	Migration *MigrationProgress
-}
-
-// RingStatus returns the current placement state for /stats and tools.
-func (r *Router) RingStatus() RingStatus {
+// ringStatus returns the current placement state for Stats.
+func (r *Router) ringStatus() *core.RingStatus {
 	st := r.state.Load()
-	out := RingStatus{Epoch: st.epoch, Shards: len(st.members), Vnodes: st.ring.Vnodes()}
+	out := &core.RingStatus{Epoch: st.epoch, Shards: len(st.members), Vnodes: st.ring.Vnodes()}
 	if mv := r.move.Load(); mv != nil {
-		out.Migration = &MigrationProgress{
+		out.Migration = &core.MigrationProgress{
 			From:  len(mv.old.st.members),
 			To:    len(mv.new.st.members),
 			Phase: phaseNames[mv.phase.Load()],

@@ -325,16 +325,16 @@ func TestQueuedInsertThenDeleteAcrossMoveStart(t *testing.T) {
 	}
 }
 
-// TestMoveProgress pins the shared estimator: RingStatus reports a
+// TestMoveProgress pins the shared estimator: the ring status reports a
 // Repartition in flight exactly as it reports a Reshard — the relation's
 // name, the phase, and row copies streamed out of a plan size that, on a
 // quiescent cluster, is exactly what the copy goes on to stream.
 func TestMoveProgress(t *testing.T) {
 	ctx := context.Background()
 	_, router, _ := buildPair(t, "AIRCA", 3)
-	var seen []MigrationProgress
+	var seen []core.MigrationProgress
 	router.hookMigBatch = func() {
-		if p := router.RingStatus().Migration; p != nil && p.Phase == "copy" {
+		if p := router.ringStatus().Migration; p != nil && p.Phase == "copy" {
 			seen = append(seen, *p)
 		}
 	}
@@ -354,7 +354,7 @@ func TestMoveProgress(t *testing.T) {
 		if last := seen[len(seen)-1]; last.Moved == 0 {
 			t.Errorf("%s: progress never advanced: %+v", label, last)
 		}
-		if router.RingStatus().Migration != nil {
+		if router.ringStatus().Migration != nil {
 			t.Errorf("%s: migration still reported after the move", label)
 		}
 		seen = nil

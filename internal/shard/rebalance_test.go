@@ -104,13 +104,13 @@ func TestReshardGrowShrink(t *testing.T) {
 	if got := router.NumShards(); got != 4 {
 		t.Fatalf("NumShards after grow = %d", got)
 	}
-	if got := len(router.PerShardStats()); got != 4 {
-		t.Fatalf("PerShardStats after grow has %d entries, want 4 shards", got)
+	if got := len(router.Stats().Shards); got != 4 {
+		t.Fatalf("Stats().Shards after grow has %d entries, want 4 shards", got)
 	}
 	if router.Version() != v0 {
 		t.Fatalf("grow bumped Version %d -> %d", v0, router.Version())
 	}
-	for _, st := range router.PerShardStats() {
+	for _, st := range router.Stats().Shards {
 		if st.Version != v0 {
 			t.Errorf("%s at version %d after grow, want %d", st.Label, st.Version, v0)
 		}
@@ -133,8 +133,8 @@ func TestReshardGrowShrink(t *testing.T) {
 	}
 	assertPlacement(t, "after shrink", router)
 	assertDifferential(t, "after shrink", eng, router, d)
-	if status := router.RingStatus(); status.Migration != nil || status.Epoch != e0+2 || status.Shards != 2 {
-		t.Fatalf("RingStatus after shrink: %+v", status)
+	if status := router.Stats().Ring; status.Migration != nil || status.Epoch != e0+2 || status.Shards != 2 {
+		t.Fatalf("ring after shrink: %+v", status)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestReshardAbort(t *testing.T) {
 	if got := router.RingEpoch(); got != 1 { // unchanged from New's initial epoch
 		t.Fatalf("abort moved the epoch to %d", got)
 	}
-	if status := router.RingStatus(); status.Migration != nil {
+	if status := router.Stats().Ring; status.Migration != nil {
 		t.Fatalf("migration still visible after abort: %+v", status.Migration)
 	}
 	assertPlacement(t, "after abort", router)

@@ -1088,12 +1088,7 @@ func (r *Router) Version() uint64 { return r.anchor().Version() }
 func (r *Router) CacheStats() cache.Stats {
 	var out cache.Stats
 	for _, eng := range r.engines() {
-		s := eng.CacheStats()
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-		out.Purges += s.Purges
-		out.Entries += s.Entries
+		out = out.Merge(eng.CacheStats())
 	}
 	return out
 }
@@ -1177,54 +1172,21 @@ func (r *Router) IndexEntries() int64 {
 // apply pipeline: backlog depth (watermark lag), batching counters and
 // store errors. Surfaced by GET /stats for operators watching the write
 // path.
-func (r *Router) ApplyQueueStats() ApplyQueueStats { return r.aq.stats() }
-
-// RouteStats counts routing decisions since the router was built.
-type RouteStats struct {
-	// Single counts queries answered by exactly one shard (unpartitioned
-	// queries and the covered-access fast path).
-	Single int64
-	// Scattered counts scatter/gather executions (each runs on every
-	// shard).
-	Scattered int64
-	// Residue counts residue-routed executions (residue.go) — queries
-	// whose shape neither single-shards nor scatters as a whole.
-	Residue int64
-}
+func (r *Router) ApplyQueueStats() core.ApplyQueueStats { return r.aq.stats() }
 
 // RouteStats returns the routing-decision counters.
-func (r *Router) RouteStats() RouteStats {
-	return RouteStats{
+func (r *Router) RouteStats() core.RouteStats {
+	return core.RouteStats{
 		Single:    r.routed[routeSingle].Load(),
 		Scattered: r.routed[routeScatter].Load(),
 		Residue:   r.routed[routeResidue].Load(),
 	}
 }
 
-// ResidueStats counts the work of residue routes and the placement
-// migrator, surfaced by GET /stats.
-type ResidueStats struct {
-	// BroadcastRels is the number of relations currently broadcast to
-	// every shard (the non-partitioned set).
-	BroadcastRels int
-	// Repartitions counts completed placement changes (Repartition calls
-	// and automatic demotions).
-	Repartitions int64
-	// BytesShipped is the encoded size of the rows routed scans returned
-	// to the router: what the baseline's scans would put on the wire in a
-	// multi-node deployment. Covered routes' fetches are not counted.
-	BytesShipped int64
-	// Evaluated counts residue-routed queries answered by the baseline
-	// over routed scans: uncovered queries under
-	// Options.FallbackToBaseline. Covered ones run their bounded plan over
-	// routed fetches instead.
-	Evaluated int64
-}
-
 // ResidueStats returns the residue-execution counters.
-func (r *Router) ResidueStats() ResidueStats {
+func (r *Router) ResidueStats() core.ResidueStats {
 	ps := r.part.Load()
-	return ResidueStats{
+	return core.ResidueStats{
 		BroadcastRels: len(r.schema.Relations()) - len(ps.keys),
 		Repartitions:  r.resRepartitions.Load(),
 		BytesShipped:  r.resBytesShipped.Load(),
@@ -1253,21 +1215,47 @@ func (r *Router) RouteKind(q ra.Query) (string, error) {
 	}
 }
 
-// PerShardStats returns one observability snapshot per member engine —
-// live shards labeled "shard/i" in order — for the /stats per-shard
-// breakdown. Queries counts executions routed to each engine (including
-// the fetch batches and scans of residue routes); comparing them across
-// shards exposes routing skew, and comparing DBSize exposes data skew.
-func (r *Router) PerShardStats() []core.EngineStat {
-	st := r.state.Load()
-	out := make([]core.EngineStat, 0, len(st.members))
-	for i, m := range st.members {
-		es := m.eng.Stat()
-		es.Label = fmt.Sprintf("shard/%d", i)
-		es.Queries = m.queries.Load()
-		out = append(out, es)
+// Stats returns the cluster's observability snapshot: the logical
+// sizes, summed plan-cache and IVM counters, the log block when durable,
+// and the router's own blocks — one entry per member engine (live shards
+// labeled "shard/i" in order; comparing Queries across them exposes
+// routing skew, comparing DBSize data skew), the ring, the apply queue,
+// routing decisions and residue work.
+func (r *Router) Stats() core.Stats {
+	// Sample the apply queue before the size reads, so Depth is the
+	// backlog as the call found it: the reads below take engine and store
+	// locks while the applier keeps draining.
+	apply := r.ApplyQueueStats()
+	routes := r.RouteStats()
+	residue := r.ResidueStats()
+	st := core.Stats{
+		Cache:        r.CacheStats(),
+		DBSize:       r.DBSize(),
+		IndexEntries: r.IndexEntries(),
+		Version:      r.Version(),
+		Executor:     exec.ReadCounters(),
+		Ring:         r.ringStatus(),
+		Apply:        &apply,
+		Routes:       &routes,
+		Residue:      &residue,
 	}
-	return out
+	for i, m := range r.state.Load().members {
+		st.Shards = append(st.Shards, core.ShardStats{
+			Label:        fmt.Sprintf("shard/%d", i),
+			Queries:      m.queries.Load(),
+			Cache:        m.eng.CacheStats(),
+			DBSize:       m.eng.DBSize(),
+			IndexEntries: m.eng.IndexEntries(),
+			Version:      m.eng.Version(),
+		})
+	}
+	if iv := r.IVMStats(); iv.Budget > 0 {
+		st.IVM = &iv
+	}
+	if ws, ok := r.DurabilityStats(); ok {
+		st.Durability = &ws
+	}
+	return st
 }
 
 // String summarizes the partitioning for logs and tools.

@@ -295,7 +295,7 @@ func TestConstraintFanOut(t *testing.T) {
 	if err := router.AddConstraints(c); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range router.PerShardStats() {
+	for _, st := range router.Stats().Shards {
 		if st.Version != v0+1 {
 			t.Errorf("%s: version %d, want %d", st.Label, st.Version, v0+1)
 		}
@@ -303,7 +303,7 @@ func TestConstraintFanOut(t *testing.T) {
 	if !router.RemoveConstraint(c) {
 		t.Error("RemoveConstraint did not find the installed constraint")
 	}
-	for _, st := range router.PerShardStats() {
+	for _, st := range router.Stats().Shards {
 		if st.Version != v0+2 {
 			t.Errorf("%s after remove: version %d, want %d", st.Label, st.Version, v0+2)
 		}
@@ -428,7 +428,7 @@ func TestScatterGatherUnderChurn(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	stats := router.PerShardStats()
+	stats := router.Stats().Shards
 	for _, st := range stats[1:] {
 		if st.Version != stats[0].Version {
 			t.Errorf("version skew after churn: %s at %d, %s at %d",
@@ -463,8 +463,8 @@ func TestRouterServiceParity(t *testing.T) {
 	if cs.Hits == 0 {
 		t.Errorf("aggregated cache stats show no hits after a repeat: %+v", cs)
 	}
-	if got := len(router.PerShardStats()); got != 4 {
-		t.Errorf("PerShardStats returned %d entries, want 4 shards", got)
+	if got := len(router.Stats().Shards); got != 4 {
+		t.Errorf("Stats().Shards has %d entries, want 4 shards", got)
 	}
 }
 
@@ -500,7 +500,7 @@ func TestConcurrentConstraintMutations(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := router.PerShardStats()
+	stats := router.Stats().Shards
 	for _, st := range stats[1:] {
 		if st.Version != stats[0].Version {
 			t.Fatalf("version skew: %s at %d, %s at %d",

@@ -148,24 +148,25 @@ type Log struct {
 // Stats is a point-in-time view of the log, surfaced by /stats.
 type Stats struct {
 	// LastLSN is the highest assigned LSN (0 when nothing was ever logged).
-	LastLSN uint64
+	LastLSN uint64 `json:"lastLSN"`
 	// CheckpointLSN is the LSN the latest checkpoint covers.
-	CheckpointLSN uint64
+	CheckpointLSN uint64 `json:"checkpointLSN"`
 	// Segments is the number of live segment files.
-	Segments int
+	Segments int `json:"segments"`
 	// SegmentBytes is the total size of the live segments.
-	SegmentBytes int64
+	SegmentBytes int64 `json:"segmentBytes"`
 	// Appends counts records appended since open.
-	Appends int64
-	// Fsyncs counts fsync calls on the append path since open.
-	Fsyncs int64
-	// FsyncTotalMicros is the cumulative fsync latency in microseconds;
-	// divide by Fsyncs for the mean.
-	FsyncTotalMicros int64
+	Appends int64 `json:"appends"`
 	// Checkpoints counts checkpoints written since open.
-	Checkpoints int64
+	Checkpoints int64 `json:"checkpoints"`
 	// Fsync is the configured policy.
-	Fsync string
+	Fsync string `json:"fsync"`
+	// Fsyncs counts fsync calls on the append path since open.
+	Fsyncs int64 `json:"fsyncs"`
+	// FsyncMeanMicros is FsyncTotalMicros / Fsyncs (0 before the first
+	// fsync); FsyncTotalMicros is the cumulative fsync latency.
+	FsyncMeanMicros  float64 `json:"fsyncMeanMicros"`
+	FsyncTotalMicros int64   `json:"-"`
 }
 
 func segName(start uint64) string { return fmt.Sprintf("%s%020d%s", segPrefix, start, segSuffix) }
@@ -517,17 +518,21 @@ func (l *Log) Stats() Stats {
 		bytes += l.segs[i].size
 	}
 	l.mu.Unlock()
-	return Stats{
+	st := Stats{
 		LastLSN:          l.lastA.Load(),
 		CheckpointLSN:    l.ckLSN.Load(),
 		Segments:         n,
 		SegmentBytes:     bytes,
 		Appends:          l.appends.Load(),
-		Fsyncs:           l.fsyncs.Load(),
-		FsyncTotalMicros: l.fsyncMicros.Load(),
 		Checkpoints:      l.checkpoints.Load(),
 		Fsync:            l.opts.Fsync.String(),
+		Fsyncs:           l.fsyncs.Load(),
+		FsyncTotalMicros: l.fsyncMicros.Load(),
 	}
+	if st.Fsyncs > 0 {
+		st.FsyncMeanMicros = float64(st.FsyncTotalMicros) / float64(st.Fsyncs)
+	}
+	return st
 }
 
 // WriteCheckpoint durably writes a snapshot covering every record with LSN
