@@ -188,6 +188,12 @@ type ServeResult struct {
 	// end of the run.
 	Cache   cache.Stats
 	HitRate float64
+	// SkipRate is the fraction of replayed reads that skipped compilation:
+	// the plan cache supplied the compiled plan or a maintained view the
+	// answer (Report.CacheHit, or the cacheHit response flag over the
+	// wire). HitRate alone undercounts it with IVM on, because a read a
+	// view serves never looks the plan cache up.
+	SkipRate float64
 	// Mutations counts tuple writes applied during the run; WriteOps the
 	// client ops that were delete+reinsert pairs under WriteMix (each
 	// contributes two Mutations).
@@ -257,8 +263,8 @@ func (r *ServeResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "mean latency\t%v per query\n", r.MeanLatency)
 	fmt.Fprintf(w, "memory\t%d allocs/op (%d B/op), %d GC cycles, %v total pause\n",
 		r.AllocsPerOp, r.AllocBytesPerOp, r.GCCycles, r.GCPause.Round(time.Microsecond))
-	fmt.Fprintf(w, "cache\thits %d  misses %d  evictions %d  hit-rate %.1f%%\n",
-		r.Cache.Hits, r.Cache.Misses, r.Cache.Evictions, 100*r.HitRate)
+	fmt.Fprintf(w, "cache\thits %d  misses %d  evictions %d  hit-rate %.1f%%  compile skipped on %.1f%% of reads\n",
+		r.Cache.Hits, r.Cache.Misses, r.Cache.Evictions, 100*r.HitRate, 100*r.SkipRate)
 	fmt.Fprintf(w, "mutations\t%d tuple writes during run (%d write ops in the client mix)\n",
 		r.Mutations, r.WriteOps)
 	if r.IVMOn {
@@ -489,6 +495,8 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		mutations  atomic.Int64
 		writeOps   atomic.Int64
 		residueOps atomic.Int64
+		reads      atomic.Int64
+		skips      atomic.Int64
 		latencyNs  atomic.Int64
 		stop       atomic.Bool
 	)
@@ -558,15 +566,27 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 					}
 					mutations.Add(2)
 					writeOps.Add(1)
-				} else if residueLen > 0 && rng.Float64() < cfg.ResidueMix {
-					if err := drv.query(baseLen + rng.Intn(residueLen)); err != nil {
+				} else {
+					// The residue coin is drawn before the pool index.
+					residue := residueLen > 0 && rng.Float64() < cfg.ResidueMix
+					var q int
+					if residue {
+						q = baseLen + rng.Intn(residueLen)
+					} else {
+						q = int(zipf.Uint64())
+					}
+					cached, err := drv.query(q)
+					if err != nil {
 						errCount.Add(1)
 						return
 					}
-					residueOps.Add(1)
-				} else if err := drv.query(int(zipf.Uint64())); err != nil {
-					errCount.Add(1)
-					return
+					if residue {
+						residueOps.Add(1)
+					}
+					reads.Add(1)
+					if cached {
+						skips.Add(1)
+					}
 				}
 				latencyNs.Add(int64(time.Since(t0)))
 				if completed.Add(1) == half {
@@ -642,6 +662,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		}
 	}
 	res.ResidueOps = residueOps.Load()
+	if n := reads.Load(); n > 0 {
+		res.SkipRate = float64(skips.Load()) / float64(n)
+	}
 	if res.Duration > 0 {
 		res.ResidueQPS = float64(res.ResidueOps) / res.Duration.Seconds()
 	}
@@ -680,8 +703,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 // calls Execute in-process, the HTTP driver round-trips every operation
 // through the network front end over loopback.
 type serveDriver interface {
-	// query replays pool entry i.
-	query(i int) error
+	// query replays pool entry i and reports whether the read skipped
+	// compilation (its report's CacheHit).
+	query(i int) (cached bool, err error)
 	// insert / delete apply one tuple write.
 	insert(rel string, t value.Tuple) error
 	delete(rel string, t value.Tuple) error
@@ -710,9 +734,12 @@ type engineDriver struct {
 	opts core.Options
 }
 
-func (d *engineDriver) query(i int) error {
-	_, _, err := d.eng.Execute(d.pool[i], d.opts)
-	return err
+func (d *engineDriver) query(i int) (bool, error) {
+	_, rep, err := d.eng.Execute(d.pool[i], d.opts)
+	if err != nil {
+		return false, err
+	}
+	return rep.CacheHit, nil
 }
 
 func (d *engineDriver) insert(rel string, t value.Tuple) error {
@@ -766,9 +793,12 @@ func newHTTPDriver(eng core.Service, schema ra.Schema, pool []ra.Query) (*httpDr
 	return &httpDriver{srv: srv, cli: cli, texts: texts}, nil
 }
 
-func (d *httpDriver) query(i int) error {
-	_, err := d.cli.Query(context.Background(), d.texts[i])
-	return err
+func (d *httpDriver) query(i int) (bool, error) {
+	resp, err := d.cli.Query(context.Background(), d.texts[i])
+	if err != nil {
+		return false, err
+	}
+	return resp.CacheHit, nil
 }
 
 func (d *httpDriver) insert(rel string, t value.Tuple) error {
@@ -906,13 +936,16 @@ func (d *followerDriver) ivmStats() ivm.Stats {
 	return sum
 }
 
-func (d *followerDriver) query(i int) error {
+func (d *followerDriver) query(i int) (bool, error) {
 	cli := d.readClis[d.next.Add(1)%uint64(len(d.readClis))]
-	_, err := cli.QueryOpts(context.Background(), server.QueryRequest{
+	resp, err := cli.QueryOpts(context.Background(), server.QueryRequest{
 		Query:  d.texts[i],
 		MinLSN: d.lastWrite.Load(),
 	})
-	return err
+	if err != nil {
+		return false, err
+	}
+	return resp.CacheHit, nil
 }
 
 // advanceFence raises the read fence to the LSN of an acknowledged write.
