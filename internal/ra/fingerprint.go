@@ -2,42 +2,74 @@ package ra
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"hash"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 )
 
+// Key identifies a normalized query up to canonical form: the SHA-256
+// digest of its canonical serialization. It is the plan-cache, view and
+// routing-decision key of the serving path.
+//
+// Soundness: the digest covers the whole canonical tree (every relation
+// occurrence with its base, every equality atom and constant, every
+// projected attribute, every operator), and canonicalization only
+// reorders commutative structure, renames occurrences and rewrites each
+// selection's atoms within their equivalence classes. So equal keys mean
+// equal canonical forms (barring a SHA-256 collision), and equal canonical
+// forms evaluate to the same rows on every database. The converse does not
+// hold: the occurrence order comes from a bounded colour refinement, not a
+// full graph canonization (query isomorphism is GI-hard), so two equivalent
+// queries may key apart — a plan-cache miss, never a wrong answer. The
+// refinement hashes only steer that order; a collision among them merges
+// two tie groups, which again can cost a miss but never a false hit.
+type Key [sha256.Size]byte
+
+// String renders the key as lowercase hex, the form Fingerprint returns.
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
+
+// Hash returns the key's first eight bytes as an integer. The digest is
+// uniformly distributed, so this is a ready-made hash for sharding a
+// table by key.
+func (k Key) Hash() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
+
 // Canonical returns a canonical normal form of q: relation occurrences are
-// renamed to position-independent names, conjuncts of a product under a
-// projection are put in a stable order, union operands are sorted,
-// duplicate and reflexive equality atoms are folded away, and each
-// selection's equality atoms are re-emitted in a canonical star shape per
-// equivalence class (constants attached to the class representative).
+// renamed to position-independent names (base~n in canonical order),
+// conjuncts of a product under a projection are put in a stable order,
+// union operands are sorted, duplicate and reflexive equality atoms are
+// folded away, and each selection's equality atoms are re-emitted in a
+// canonical star shape per equivalence class (every member and constant
+// attached to the class representative, projections folded onto it).
 // The result is A-equivalent to q on every instance: atom reordering is
 // sound because projections and selections address columns by name, and
 // union is commutative; only Diff and raw positional contexts keep their
 // operand order.
 //
-// Two queries that differ only in variable naming, atom order within a
-// rule body, redundant equality atoms, or union operand order canonicalize
-// to the same tree, which is what makes Fingerprint usable as a plan-cache
-// key.
+// Canonical builds the tree KeyOf hashes: KeyOf(Normalize(q)) is the
+// SHA-256 of the canonical tree's serialization, and Canonical is a
+// fixpoint (canonicalizing its result changes neither tree nor key). It
+// allocates the new tree, so it is meant for cold paths (the server's
+// canonical text, the public API); the serving path calls KeyOf.
 func Canonical(q Query, s Schema) (Query, error) {
 	norm, err := Normalize(q, s)
 	if err != nil {
 		return nil, err
 	}
-	return canonicalize(norm), nil
+	c := getCanonizer()
+	defer putCanonizer(c)
+	c.canonicalize(norm)
+	return c.tree(0), nil
 }
 
-// Fingerprint returns a stable hex digest identifying q up to canonical
-// form: Fingerprint(q1) == Fingerprint(q2) implies q1 and q2 evaluate to
-// the same answer (as a set of rows) on every database of s. The converse
-// does not hold — semantically equal but structurally dissimilar queries
-// may fingerprint apart, costing a cache miss, never a wrong answer.
+// Fingerprint returns the hex form of q's canonical key: Fingerprint(q1) ==
+// Fingerprint(q2) implies q1 and q2 evaluate to the same answer (as a set
+// of rows) on every database of s. The converse does not hold — see Key.
 func Fingerprint(q Query, s Schema) (string, error) {
 	norm, err := Normalize(q, s)
 	if err != nil {
@@ -46,488 +78,913 @@ func Fingerprint(q Query, s Schema) (string, error) {
 	return FingerprintNormalized(norm), nil
 }
 
-// FingerprintNormalized is Fingerprint for a query that is already in the
-// normal form Normalize produces (all relation occurrences distinct and
-// valid against the schema); it skips re-normalization, which matters on
-// the plan-cache hit path where the fingerprint is the whole cost.
-func FingerprintNormalized(norm Query) string {
-	sum := sha256.Sum256([]byte(serialize(canonicalize(norm))))
-	return hex.EncodeToString(sum[:])
+// FingerprintNormalized is the hex form of KeyOf(norm).
+func FingerprintNormalized(norm Query) string { return KeyOf(norm).String() }
+
+// KeyOf returns the canonical key of a query already in the normal form
+// Normalize produces (relation occurrences distinct and valid against the
+// schema); passing anything else yields an unspecified key. It streams the
+// canonical serialization into SHA-256 from index data in pooled scratch —
+// no tree is built — and allocates nothing in the steady state.
+func KeyOf(norm Query) Key {
+	c := getCanonizer()
+	c.canonicalize(norm)
+	c.buf = c.buf[:0]
+	c.serialize(0)
+	k := c.sum(c.buf)
+	putCanonizer(c)
+	return k
 }
 
-// canonicalize runs the rename-free pipeline on an already normalized
-// query: structural reordering, then global canonical renaming, then
-// predicate re-emission under the new names.
-func canonicalize(norm Query) Query {
-	sigs := signatures(norm)
-	restructured := canonOrder(norm, false, sigs)
-	seq := 0
-	ren := map[string]string{}
-	for _, r := range Relations(restructured) {
-		seq++
-		ren[r.Name] = fmt.Sprintf("%s~%d", r.Base, seq)
+// --- the canonicalizer -----------------------------------------------------
+//
+// A canonizer flattens the query into pre-order node records (products and
+// unions flattened into one node with their leaves as children), so every
+// subtree is a contiguous node range, child-slot range and occurrence
+// range. The canonical order is computed in place by permuting child slots;
+// the renaming is a sequence number per occurrence. Both outputs, the
+// serialization and the tree, read that index data.
+
+type nodeKind uint8
+
+const (
+	kRel nodeKind = iota
+	kSel
+	kProj
+	kProd
+	kUnion
+	kDiff
+)
+
+// cnode is one flattened operator.
+type cnode struct {
+	q    Query
+	kind nodeKind
+	// kid/nkid: this node's child slots in canonizer.kids (node indices);
+	// kidEnd: one past the last child slot of the whole subtree.
+	kid, nkid, kidEnd int32
+	// end: one past the subtree's last node; occ/occEnd: the subtree's
+	// occurrence range (a relation's own occurrence is occ).
+	end, occ, occEnd int32
+	// cls/ncls: a selection's equality classes in canonizer.classes.
+	cls, ncls int32
+}
+
+// cocc is one relation occurrence.
+type cocc struct {
+	name, base string
+	bh         uint64 // hash of the base name: refinement round 0
+	seq        int32  // 1-based position under the current canonical renaming
+}
+
+// cattr is an attribute of an occurrence (occ -1: not an occurrence of the
+// query, which only a non-normalized input produces).
+type cattr struct {
+	occ  int32
+	name string
+}
+
+// cclass is one equality class of a selection: members in canonizer.mems,
+// distinct constants (ascending) in canonizer.csts.
+type cclass struct {
+	mem, nmem, cst, ncst int32
+}
+
+// trivial reports a class that constrains nothing: a lone attribute with
+// no constant, left behind by a reflexive atom a = a.
+func (k cclass) trivial() bool { return k.nmem == 1 && k.ncst == 0 }
+
+// sortKey orders one child slot: rank first (non-relation product leaves
+// before relation leaves), then the refinement signature or the subtree
+// digest.
+type sortKey struct {
+	kid  int32
+	rank uint8
+	h    uint64
+}
+
+// cpred is one canonical equality atom: l = r, or l = v when isConst.
+type cpred struct {
+	l, r    cattr
+	v       value.Value
+	isConst bool
+}
+
+type canonizer struct {
+	nodes   []cnode
+	kids    []int32
+	occs    []cocc
+	byName  []int32 // occurrence indices sorted by name
+	classes []cclass
+	mems    []cattr
+	csts    []value.Value
+
+	// Refinement state, per occurrence: head features (round-invariant),
+	// the previous round's signatures, and this round's.
+	head, cur, sig []uint64
+	sigs           []uint64 // scratch for the distinctness check
+
+	// Stacks: child orders saved around a subtree digest, sort keys of the
+	// groups being ordered, canonical predicates being emitted.
+	saved []int32
+	keys  []sortKey
+	preds []cpred
+
+	// Per-selection union-find scratch.
+	ufAttr   []cattr
+	ufParent []int32
+	ufOrder  []int32
+	ufConst  []constRef
+
+	buf []byte
+	h   hash.Hash
+	out [sha256.Size]byte
+}
+
+// constRef attaches a constant to a union-find attribute.
+type constRef struct {
+	attr int32
+	v    value.Value
+}
+
+var canonizers = sync.Pool{New: func() any { return &canonizer{h: sha256.New()} }}
+
+func getCanonizer() *canonizer { return canonizers.Get().(*canonizer) }
+
+// putCanonizer drops the references the scratch holds into the query and
+// returns it to the pool; scratch grown by an outsized query is left to
+// the collector instead.
+func putCanonizer(c *canonizer) {
+	if len(c.nodes) > 1024 || len(c.buf) > 1<<16 {
+		return
 	}
-	renamed := renameAll(restructured, ren)
-	return canonPreds(renamed)
+	clear(c.nodes)
+	clear(c.occs)
+	clear(c.mems)
+	clear(c.csts)
+	clear(c.preds)
+	clear(c.ufAttr)
+	clear(c.ufConst)
+	canonizers.Put(c)
 }
 
-// --- structural reordering -------------------------------------------------
+// canonicalize flattens norm and computes its canonical order and renaming.
+func (c *canonizer) canonicalize(norm Query) {
+	c.nodes, c.kids, c.occs, c.byName = c.nodes[:0], c.kids[:0], c.occs[:0], c.byName[:0]
+	c.classes, c.mems, c.csts = c.classes[:0], c.mems[:0], c.csts[:0]
+	c.saved, c.keys, c.preds, c.buf = c.saved[:0], c.keys[:0], c.preds[:0], c.buf[:0]
+	c.build(norm)
+	for i := range c.occs {
+		c.byName = append(c.byName, int32(i))
+	}
+	slices.SortFunc(c.byName, func(a, b int32) int { return strings.Compare(c.occs[a].name, c.occs[b].name) })
+	for i := range c.nodes {
+		if c.nodes[i].kind == kSel {
+			c.selClasses(int32(i))
+		}
+	}
+	n := int32(len(c.occs))
+	c.head, c.cur, c.sig = grow(c.head, n), grow(c.cur, n), grow(c.sig, n)
+	c.signatures(0)
+	c.order(0, false)
+	c.number(0)
+}
 
-// canonOrder reorders commutative structure. sortable reports whether the
-// current subtree's column order is insulated from the result by an
-// enclosing Project (columns addressed by name), so products below may be
-// freely reordered; Union and Diff consume columns positionally and reset
-// it.
-func canonOrder(q Query, sortable bool, sigs map[string]string) Query {
+func grow(s []uint64, n int32) []uint64 {
+	if int32(cap(s)) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+// --- flattening -------------------------------------------------------------
+
+// build appends the pre-order records of q's subtree and returns its node
+// index.
+func (c *canonizer) build(q Query) int32 {
+	n := int32(len(c.nodes))
+	c.nodes = append(c.nodes, cnode{q: q, occ: int32(len(c.occs))})
 	switch t := q.(type) {
 	case *Relation:
-		return t
-	case *Project:
-		// A projection addresses its input by attribute name: everything
-		// below (until the next positional operator) may be reordered.
-		return &Project{In: canonOrder(t.In, true, sigs), Attrs: append([]Attr(nil), t.Attrs...)}
+		c.nodes[n].kind = kRel
+		c.occs = append(c.occs, cocc{name: t.Name, base: t.Base, bh: hashStr(tagBase, t.Base)})
 	case *Select:
-		return &Select{In: canonOrder(t.In, sortable, sigs), Preds: append([]Pred(nil), t.Preds...)}
+		c.nodes[n].kind = kSel
+		c.buildKids(n, 1)
+		c.kids[c.nodes[n].kid] = c.build(t.In)
+	case *Project:
+		c.nodes[n].kind = kProj
+		c.buildKids(n, 1)
+		c.kids[c.nodes[n].kid] = c.build(t.In)
 	case *Product:
-		leaves := flattenProduct(t)
-		for i, l := range leaves {
-			leaves[i] = canonOrder(l, sortable, sigs)
-		}
-		if sortable {
-			leaves = sortLeaves(leaves, sigs)
-		}
-		out := leaves[0]
-		for _, l := range leaves[1:] {
-			out = &Product{L: out, R: l}
-		}
-		return out
+		c.nodes[n].kind = kProd
+		c.buildKids(n, countLeaves(q, kProd))
+		c.buildLeaves(q, kProd, c.nodes[n].kid)
 	case *Union:
-		leaves := flattenUnion(t)
-		for i, l := range leaves {
-			leaves[i] = canonOrder(l, false, sigs)
-		}
-		// Union is commutative and associative; order operands by their
-		// standalone canonical serialization, which is name-independent.
-		// Each operand is re-canonicalized here, so deeply nested unions
-		// pay O(depth) extra passes — fine for paper-scale queries (a
-		// handful of operands); a memoized bottom-up key would be the
-		// upgrade if query shapes ever grow.
-		keys := make([]string, len(leaves))
-		for i, l := range leaves {
-			keys[i] = serialize(canonicalize(l))
-		}
-		idx := make([]int, len(leaves))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-		sorted := make([]Query, len(leaves))
-		for i, j := range idx {
-			sorted[i] = leaves[j]
-		}
-		leaves = sorted
-		out := leaves[0]
-		for _, l := range leaves[1:] {
-			out = &Union{L: out, R: l}
-		}
-		return out
+		c.nodes[n].kind = kUnion
+		c.buildKids(n, countLeaves(q, kUnion))
+		c.buildLeaves(q, kUnion, c.nodes[n].kid)
 	case *Diff:
-		return &Diff{L: canonOrder(t.L, false, sigs), R: canonOrder(t.R, false, sigs)}
+		c.nodes[n].kind = kDiff
+		c.buildKids(n, 2)
+		c.kids[c.nodes[n].kid] = c.build(t.L)
+		c.kids[c.nodes[n].kid+1] = c.build(t.R)
 	default:
-		panic(fmt.Sprintf("ra: unknown query node %T", q))
+		panic("ra: unknown query node")
+	}
+	nd := &c.nodes[n]
+	nd.end, nd.kidEnd, nd.occEnd = int32(len(c.nodes)), int32(len(c.kids)), int32(len(c.occs))
+	return n
+}
+
+// buildKids reserves k child slots for node n.
+func (c *canonizer) buildKids(n, k int32) {
+	c.nodes[n].kid, c.nodes[n].nkid = int32(len(c.kids)), k
+	for ; k > 0; k-- {
+		c.kids = append(c.kids, -1)
 	}
 }
 
-// flattenProduct returns the non-product leaves of a product tree in
-// left-to-right order.
-func flattenProduct(q Query) []Query {
-	if p, ok := q.(*Product); ok {
-		return append(flattenProduct(p.L), flattenProduct(p.R)...)
-	}
-	return []Query{q}
-}
-
-// flattenUnion returns the non-union leaves of a union tree in order.
-func flattenUnion(q Query) []Query {
-	if u, ok := q.(*Union); ok {
-		return append(flattenUnion(u.L), flattenUnion(u.R)...)
-	}
-	return []Query{q}
-}
-
-// sortLeaves stably orders product conjuncts by a name-independent key:
-// relation occurrences use their structural signature, other subtrees their
-// standalone canonical serialization. Ties keep the original order, which
-// preserves determinism without claiming full graph canonization (query
-// isomorphism is GI-hard; a coarse signature only costs cache misses).
-func sortLeaves(leaves []Query, sigs map[string]string) []Query {
-	keys := make([]string, len(leaves))
-	for i, l := range leaves {
-		if r, ok := l.(*Relation); ok {
-			keys[i] = "r:" + sigs[r.Name]
-		} else {
-			keys[i] = "q:" + serialize(canonicalize(l))
+// countLeaves counts the operands of a flattened product or union tree.
+func countLeaves(q Query, kind nodeKind) int32 {
+	switch t := q.(type) {
+	case *Product:
+		if kind == kProd {
+			return countLeaves(t.L, kind) + countLeaves(t.R, kind)
+		}
+	case *Union:
+		if kind == kUnion {
+			return countLeaves(t.L, kind) + countLeaves(t.R, kind)
 		}
 	}
-	idx := make([]int, len(leaves))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]Query, len(leaves))
-	for i, j := range idx {
-		out[i] = leaves[j]
-	}
-	return out
+	return 1
 }
 
-// --- occurrence signatures -------------------------------------------------
-
-// signatures assigns every relation occurrence a name-independent
-// structural signature by color refinement: round 0 is the base relation
-// name; a refinement round folds in the occurrence's equality classes
-// (join partners by their previous-round signature, bound constants) and
-// its projection positions. A second round runs only when the first
-// leaves duplicate signatures — whether it does is a property of the
-// signature multiset, not of occurrence order, so the adaptive cutoff is
-// itself canonical.
-func signatures(q Query) map[string]string {
-	rels := Relations(q)
-	cur := make(map[string]string, len(rels))
-	for _, r := range rels {
-		cur[r.Name] = r.Base
-	}
-
-	// Round-independent structure: the equality classes of every Select
-	// (computed once) and the projection features. A projected attribute
-	// stands for its whole equality class (π_a(σ_{a=b}E) ≡ π_b(σ_{a=b}E)),
-	// so the output feature attaches to every member of the class — head
-	// signatures must not depend on which member the query projected.
-	classesBySel := map[*Select][]eqClass{}
-	getClasses := func(sel *Select) []eqClass {
-		cls, ok := classesBySel[sel]
-		if !ok {
-			cls = classesOf(sel.Preds)
-			classesBySel[sel] = cls
+// buildLeaves builds the operands of a flattened product or union tree
+// left to right into the child slots starting at slot, returning the next
+// free slot.
+func (c *canonizer) buildLeaves(q Query, kind nodeKind, slot int32) int32 {
+	switch t := q.(type) {
+	case *Product:
+		if kind == kProd {
+			return c.buildLeaves(t.R, kind, c.buildLeaves(t.L, kind, slot))
 		}
-		return cls
-	}
-	var selects []*Select
-	headFeats := map[string][]string{}
-	Walk(q, func(n Query) {
-		switch t := n.(type) {
-		case *Select:
-			getClasses(t)
-			selects = append(selects, t)
-		case *Project:
-			var classes []eqClass
-			if sel, ok := t.In.(*Select); ok {
-				classes = getClasses(sel)
-			}
-			for i, a := range t.Attrs {
-				members := []Attr{a}
-				for _, cls := range classes {
-					for _, m := range cls.attrs {
-						if m == a {
-							members = cls.attrs
-							break
-						}
-					}
-				}
-				for _, m := range members {
-					headFeats[m.Rel] = append(headFeats[m.Rel], fmt.Sprintf("h:%d:%s", i, m.Name))
-				}
-			}
+	case *Union:
+		if kind == kUnion {
+			return c.buildLeaves(t.R, kind, c.buildLeaves(t.L, kind, slot))
 		}
+	}
+	c.kids[slot] = c.build(q)
+	return slot + 1
+}
+
+// lookup returns the occurrence named name, or -1.
+func (c *canonizer) lookup(name string) int32 {
+	i, ok := slices.BinarySearchFunc(c.byName, name, func(o int32, name string) int {
+		return strings.Compare(c.occs[o].name, name)
 	})
+	if !ok {
+		return -1
+	}
+	return c.byName[i]
+}
 
-	round := func(cur map[string]string) map[string]string {
-		feats := make(map[string][]string, len(rels))
-		for occ, hf := range headFeats {
-			feats[occ] = append([]string(nil), hf...)
+// --- equality classes -------------------------------------------------------
+
+// selClasses computes the equality classes of selection n by union-find
+// over the attributes its atoms mention, constants attached to their
+// attribute's class, duplicates folded.
+func (c *canonizer) selClasses(n int32) {
+	sel := c.nodes[n].q.(*Select)
+	c.ufAttr, c.ufParent, c.ufConst = c.ufAttr[:0], c.ufParent[:0], c.ufConst[:0]
+	for _, p := range sel.Preds {
+		switch t := p.(type) {
+		case EqAttr:
+			c.union(c.ufIndex(t.L), c.ufIndex(t.R))
+		case EqConst:
+			c.ufConst = append(c.ufConst, constRef{attr: c.ufIndex(t.A), v: t.C})
 		}
-		for _, sel := range selects {
-			for _, cls := range classesBySel[sel] {
-				constKey := constsKey(cls.consts)
-				for _, a := range cls.attrs {
-					others := make([]string, 0, len(cls.attrs)-1)
-					for _, b := range cls.attrs {
-						if b == a {
-							continue
-						}
-						others = append(others, cur[b.Rel]+"."+b.Name)
-					}
-					sort.Strings(others)
-					feats[a.Rel] = append(feats[a.Rel],
-						"e:"+a.Name+":["+strings.Join(others, ",")+"]:{"+constKey+"}")
+	}
+	// Group the attributes by root, then cut runs into classes.
+	c.ufOrder = c.ufOrder[:0]
+	for i := range c.ufAttr {
+		c.ufParent[i] = c.find(int32(i))
+		c.ufOrder = append(c.ufOrder, int32(i))
+	}
+	slices.SortFunc(c.ufOrder, func(a, b int32) int {
+		if d := c.ufParent[a] - c.ufParent[b]; d != 0 {
+			return int(d)
+		}
+		return int(a - b)
+	})
+	for i := range c.ufConst {
+		c.ufConst[i].attr = c.ufParent[c.ufConst[i].attr]
+	}
+	slices.SortFunc(c.ufConst, func(a, b constRef) int {
+		if d := a.attr - b.attr; d != 0 {
+			return int(d)
+		}
+		return compareValues(a.v, b.v)
+	})
+	nd := &c.nodes[n]
+	nd.cls = int32(len(c.classes))
+	j := 0
+	for i := 0; i < len(c.ufOrder); {
+		root := c.ufParent[c.ufOrder[i]]
+		k := cclass{mem: int32(len(c.mems)), cst: int32(len(c.csts))}
+		for ; i < len(c.ufOrder) && c.ufParent[c.ufOrder[i]] == root; i++ {
+			c.mems = append(c.mems, c.ufAttr[c.ufOrder[i]])
+		}
+		for ; j < len(c.ufConst) && c.ufConst[j].attr == root; j++ {
+			if v := c.ufConst[j].v; j == 0 || c.ufConst[j-1].attr != root || c.ufConst[j-1].v != v {
+				c.csts = append(c.csts, v)
+			}
+		}
+		k.nmem, k.ncst = int32(len(c.mems))-k.mem, int32(len(c.csts))-k.cst
+		c.classes = append(c.classes, k)
+	}
+	nd.ncls = int32(len(c.classes)) - nd.cls
+}
+
+// ufIndex returns the union-find index of attribute a, registering it.
+func (c *canonizer) ufIndex(a Attr) int32 {
+	occ := c.lookup(a.Rel)
+	for i, x := range c.ufAttr {
+		if x.occ == occ && x.name == a.Name {
+			return int32(i)
+		}
+	}
+	c.ufAttr = append(c.ufAttr, cattr{occ: occ, name: a.Name})
+	c.ufParent = append(c.ufParent, int32(len(c.ufParent)))
+	return int32(len(c.ufAttr) - 1)
+}
+
+func (c *canonizer) find(i int32) int32 {
+	for c.ufParent[i] != i {
+		c.ufParent[i] = c.ufParent[c.ufParent[i]]
+		i = c.ufParent[i]
+	}
+	return i
+}
+
+func (c *canonizer) union(a, b int32) {
+	if ra, rb := c.find(a), c.find(b); ra != rb {
+		c.ufParent[max(ra, rb)] = min(ra, rb)
+	}
+}
+
+// classOf returns the class of selection node sel containing a, or -1.
+func (c *canonizer) classOf(sel int32, a Attr) int32 {
+	occ := c.lookup(a.Rel)
+	nd := &c.nodes[sel]
+	for k := nd.cls; k < nd.cls+nd.ncls; k++ {
+		cl := c.classes[k]
+		for _, m := range c.mems[cl.mem : cl.mem+cl.nmem] {
+			if m.occ == occ && m.name == a.Name {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// compareValues orders constants: by kind, then payload.
+func compareValues(a, b value.Value) int {
+	if a.K != b.K {
+		return int(a.K) - int(b.K)
+	}
+	switch a.K {
+	case value.Int:
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		}
+		return 0
+	case value.Str:
+		return strings.Compare(a.S, b.S)
+	}
+	return 0
+}
+
+// --- occurrence signatures --------------------------------------------------
+
+// Fixed, unseeded hashing: the refinement decides the canonical order, so
+// it must be the same in every process for keys to be stable.
+const (
+	tagBase  = 0x6a09e667f3bcc908
+	tagHead  = 0xbb67ae8584caa73b
+	tagEq    = 0x3c6ef372fe94f82b
+	tagConst = 0xa54ff53a5f1d36f1
+)
+
+// mix is the splitmix64 finalizer: a bijective avalanche.
+func mix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// hash2 combines two hashes, order-sensitively.
+func hash2(a, b uint64) uint64 { return mix(a*0x9e3779b97f4a7c15 ^ b) }
+
+// hashStr is FNV-1a over s from seed, finished with its length.
+func hashStr(seed uint64, s string) uint64 {
+	h := seed ^ 0xcbf29ce484222325
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 0x100000001b3
+	}
+	return hash2(h, uint64(len(s)))
+}
+
+func hashValue(v value.Value) uint64 {
+	switch v.K {
+	case value.Int:
+		return hash2(1, uint64(v.I))
+	case value.Str:
+		return hashStr(2, v.S)
+	}
+	return 3
+}
+
+// signatures assigns every occurrence of subtree n a name-independent
+// structural signature by colour refinement: round 0 is the base relation;
+// a round folds in the occurrence's head features (the output positions of
+// its attributes — a projected attribute stands for its whole equality
+// class, π_a(σ_{a=b}E) ≡ π_b(σ_{a=b}E), so the feature attaches to every
+// member) and, per non-trivial equality class it belongs to, the attribute,
+// the multiset of its partners (by previous-round signature) and the bound
+// constants. Multisets are sums of mixed hashes, so no feature list is
+// sorted. A second round runs only when the first leaves duplicate
+// signatures — a property of the signature multiset, not of occurrence
+// order, so the adaptive cutoff is itself canonical.
+func (c *canonizer) signatures(n int32) {
+	nd := c.nodes[n]
+	for o := nd.occ; o < nd.occEnd; o++ {
+		c.head[o] = 0
+		c.cur[o] = c.occs[o].bh
+	}
+	for i := n; i < nd.end; i++ {
+		p := &c.nodes[i]
+		if p.kind != kProj {
+			continue
+		}
+		sel := c.kids[p.kid]
+		if c.nodes[sel].kind != kSel {
+			sel = -1
+		}
+		for pos, a := range p.q.(*Project).Attrs {
+			k := int32(-1)
+			if sel >= 0 {
+				k = c.classOf(sel, a)
+			}
+			if k < 0 {
+				if o := c.lookup(a.Rel); o >= 0 {
+					c.head[o] += mix(hashStr(hash2(tagHead, uint64(pos)), a.Name))
+				}
+				continue
+			}
+			cl := c.classes[k]
+			for _, m := range c.mems[cl.mem : cl.mem+cl.nmem] {
+				if m.occ >= 0 {
+					c.head[m.occ] += mix(hashStr(hash2(tagHead, uint64(pos)), m.name))
 				}
 			}
 		}
-		next := make(map[string]string, len(cur))
-		for _, r := range rels {
-			fs := feats[r.Name]
-			sort.Strings(fs)
-			next[r.Name] = r.Base + "|" + strings.Join(fs, ";")
-		}
-		return next
 	}
-
-	s1 := round(cur)
-	if allDistinct(s1) {
-		return s1
+	c.round(n)
+	if c.distinct(n) {
+		return
 	}
-	return round(s1)
+	copy(c.cur[nd.occ:nd.occEnd], c.sig[nd.occ:nd.occEnd])
+	c.round(n)
 }
 
-// allDistinct reports whether every occurrence already has a unique
-// signature — an order-independent property of the map's value multiset.
-func allDistinct(sigs map[string]string) bool {
-	seen := make(map[string]bool, len(sigs))
-	for _, s := range sigs {
-		if seen[s] {
+// round computes c.sig from c.cur for subtree n.
+func (c *canonizer) round(n int32) {
+	nd := c.nodes[n]
+	for o := nd.occ; o < nd.occEnd; o++ {
+		c.sig[o] = c.head[o] // accumulates the feature multiset first
+	}
+	for i := n; i < nd.end; i++ {
+		s := &c.nodes[i]
+		if s.kind != kSel {
+			continue
+		}
+		for _, cl := range c.classes[s.cls : s.cls+s.ncls] {
+			if cl.trivial() {
+				continue
+			}
+			ch := uint64(tagConst)
+			for _, v := range c.csts[cl.cst : cl.cst+cl.ncst] {
+				ch = hash2(ch, hashValue(v))
+			}
+			mems := c.mems[cl.mem : cl.mem+cl.nmem]
+			var all uint64
+			for _, m := range mems {
+				all += c.partner(m)
+			}
+			for _, m := range mems {
+				if m.occ < 0 {
+					continue
+				}
+				f := hash2(hash2(hashStr(tagEq, m.name), all-c.partner(m)), ch)
+				c.sig[m.occ] += mix(f)
+			}
+		}
+	}
+	for o := nd.occ; o < nd.occEnd; o++ {
+		c.sig[o] = hash2(c.occs[o].bh, c.sig[o])
+	}
+}
+
+// partner is attribute m's contribution to its class partners' features.
+func (c *canonizer) partner(m cattr) uint64 {
+	var h uint64
+	if m.occ >= 0 {
+		h = c.cur[m.occ]
+	}
+	return mix(hashStr(h, m.name))
+}
+
+// distinct reports whether subtree n's signatures are pairwise distinct.
+func (c *canonizer) distinct(n int32) bool {
+	nd := c.nodes[n]
+	c.sigs = append(c.sigs[:0], c.sig[nd.occ:nd.occEnd]...)
+	slices.Sort(c.sigs)
+	for i := 1; i < len(c.sigs); i++ {
+		if c.sigs[i] == c.sigs[i-1] {
 			return false
 		}
-		seen[s] = true
 	}
 	return true
 }
 
-// --- predicate canonicalization -------------------------------------------
+// --- canonical order --------------------------------------------------------
 
-type eqClass struct {
-	attrs  []Attr
-	consts []value.Value
-}
-
-// classesOf computes the equality equivalence classes of a conjunction:
-// union-find over attr=attr atoms, constants attached to their attr's
-// class. Classes are returned with attrs sorted and duplicate constants
-// folded, ordered by their least attribute.
-func classesOf(preds []Pred) []eqClass {
-	parent := map[Attr]Attr{}
-	var find func(a Attr) Attr
-	find = func(a Attr) Attr {
-		if p, ok := parent[a]; ok && p != a {
-			r := find(p)
-			parent[a] = r
-			return r
+// order reorders the commutative structure of subtree n in place.
+// sortable reports whether the subtree's column order is insulated from
+// the result by an enclosing projection (columns addressed by name), so a
+// product's leaves may be reordered; union and difference consume columns
+// positionally and reset it. Product leaves sort stably by signature
+// (relations) or subtree digest (anything else, ahead of the relations);
+// union operands always sort, by subtree digest.
+func (c *canonizer) order(n int32, sortable bool) {
+	nd := c.nodes[n]
+	switch nd.kind {
+	case kProj:
+		c.order(c.kids[nd.kid], true)
+	case kSel:
+		c.order(c.kids[nd.kid], sortable)
+	case kProd, kUnion:
+		if nd.kind == kUnion {
+			sortable = false
 		}
-		if _, ok := parent[a]; !ok {
-			parent[a] = a
+		for i := nd.kid; i < nd.kid+nd.nkid; i++ {
+			c.order(c.kids[i], sortable)
 		}
-		return parent[a]
-	}
-	union := func(a, b Attr) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			// Deterministic root: keep the lexicographically smaller.
-			if rb.Less(ra) {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
+		if nd.kind == kProd && !sortable {
+			return
 		}
-	}
-	consts := map[Attr][]value.Value{}
-	for _, p := range preds {
-		switch t := p.(type) {
-		case EqAttr:
-			union(t.L, t.R)
-		case EqConst:
-			find(t.A)
-			consts[t.A] = append(consts[t.A], t.C)
+		base := len(c.keys)
+		for i := nd.kid; i < nd.kid+nd.nkid; i++ {
+			c.keys = append(c.keys, sortKey{kid: c.kids[i]})
 		}
-	}
-	members := map[Attr][]Attr{}
-	for a := range parent {
-		r := find(a)
-		members[r] = append(members[r], a)
-	}
-	out := make([]eqClass, 0, len(members))
-	for r, ms := range members {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Less(ms[j]) })
-		var cs []value.Value
-		for _, a := range ms {
-			cs = append(cs, consts[a]...)
-		}
-		sort.Slice(cs, func(i, j int) bool { return valueLess(cs[i], cs[j]) })
-		// Fold duplicate constants.
-		dedup := cs[:0]
-		for i, c := range cs {
-			if i == 0 || cs[i-1] != c {
-				dedup = append(dedup, c)
+		// Digests recurse into order (pushing their own keys above ours),
+		// so fill the keys by index after reserving them.
+		for i := base; i < base+int(nd.nkid); i++ {
+			k := c.keys[i].kid
+			if nd.kind == kProd && c.nodes[k].kind == kRel {
+				c.keys[i].rank, c.keys[i].h = 1, c.sig[c.nodes[k].occ]
+			} else {
+				// digest may grow c.keys: take the value before indexing.
+				h := c.digest(k)
+				c.keys[i].h = h
 			}
 		}
-		out = append(out, eqClass{attrs: ms, consts: dedup})
-		_ = r
+		keys := c.keys[base:]
+		slices.SortStableFunc(keys, func(a, b sortKey) int {
+			if a.rank != b.rank {
+				return int(a.rank) - int(b.rank)
+			}
+			switch {
+			case a.h < b.h:
+				return -1
+			case a.h > b.h:
+				return 1
+			}
+			return 0
+		})
+		for i, k := range keys {
+			c.kids[nd.kid+int32(i)] = k.kid
+		}
+		c.keys = c.keys[:base]
+	case kDiff:
+		c.order(c.kids[nd.kid], false)
+		c.order(c.kids[nd.kid+1], false)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].attrs[0].Less(out[j].attrs[0]) })
-	return out
 }
 
-func valueLess(a, b value.Value) bool {
-	if a.K != b.K {
-		return a.K < b.K
-	}
-	return a.Less(b)
+// digest is the order key of subtree n inside its group: the hash of n's
+// standalone canonical serialization (its own signatures, order and
+// renaming), so it depends on n's shape and never on occurrence names.
+// The subtree's child order is restored afterwards; its signatures are
+// not, which is safe because the enclosing group reads signatures only of
+// its own relation leaves, and a subtree's inner groups are ordered
+// before its digest is taken.
+func (c *canonizer) digest(n int32) uint64 {
+	nd := c.nodes[n]
+	saved := len(c.saved)
+	c.saved = append(c.saved, c.kids[nd.kid:nd.kidEnd]...)
+	c.signatures(n)
+	c.order(n, false)
+	c.number(n)
+	mark := len(c.buf)
+	c.serialize(n)
+	k := c.sum(c.buf[mark:])
+	c.buf = c.buf[:mark]
+	copy(c.kids[nd.kid:nd.kidEnd], c.saved[saved:])
+	c.saved = c.saved[:saved]
+	return binary.LittleEndian.Uint64(k[:8])
 }
 
-func constsKey(cs []value.Value) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = c.SQL()
-	}
-	return strings.Join(parts, ",")
+// number assigns the canonical renaming of subtree n: occurrences are
+// numbered 1, 2, ... in canonical left-to-right order.
+func (c *canonizer) number(n int32) {
+	seq := int32(0)
+	c.numberFrom(n, &seq)
 }
 
-// canonPreds rebuilds every selection's predicate list from its equality
-// classes: for each class the least attribute is the representative, joined
-// to every other member and to each distinct constant. This folds duplicate
-// atoms, drops reflexive a = a atoms, and makes chain- vs star-shaped
-// join conditions with the same closure render identically. A class bound
-// to two different constants keeps both atoms (the selection is provably
-// empty, and canonical form preserves that).
-func canonPreds(q Query) Query {
-	switch t := q.(type) {
-	case *Relation:
-		return t
-	case *Select:
-		in := canonPreds(t.In)
+func (c *canonizer) numberFrom(n int32, seq *int32) {
+	nd := &c.nodes[n]
+	if nd.kind == kRel {
+		*seq++
+		c.occs[nd.occ].seq = *seq
+		return
+	}
+	for i := nd.kid; i < nd.kid+nd.nkid; i++ {
+		c.numberFrom(c.kids[i], seq)
+	}
+}
+
+func (c *canonizer) sum(b []byte) Key {
+	c.h.Reset()
+	c.h.Write(b)
+	var k Key
+	copy(k[:], c.h.Sum(c.out[:0]))
+	return k
+}
+
+// --- canonical predicates ---------------------------------------------------
+
+// attrCmp orders attributes under the current renaming: by occurrence
+// sequence number, then attribute name.
+func (c *canonizer) attrCmp(a, b cattr) int {
+	if sa, sb := c.seqOf(a), c.seqOf(b); sa != sb {
+		return int(sa - sb)
+	}
+	return strings.Compare(a.name, b.name)
+}
+
+func (c *canonizer) seqOf(a cattr) int32 {
+	if a.occ < 0 {
+		return 0
+	}
+	return c.occs[a.occ].seq
+}
+
+// rep returns the representative of class k: its least member.
+func (c *canonizer) rep(k int32) cattr {
+	cl := c.classes[k]
+	r := c.mems[cl.mem]
+	for _, m := range c.mems[cl.mem+1 : cl.mem+cl.nmem] {
+		if c.attrCmp(m, r) < 0 {
+			r = m
+		}
+	}
+	return r
+}
+
+// pushPreds pushes the canonical atoms of selection n onto c.preds and
+// returns where they start: per class, the representative equals every
+// other member and each distinct constant. This folds duplicate atoms,
+// drops reflexive ones, and makes chain- and star-shaped conditions with
+// the same closure identical; a class bound to two constants keeps both
+// atoms (the selection is provably empty, and canonical form preserves
+// that). Atoms are ordered by left attribute, attribute atoms before
+// constant atoms, then right attribute or constant.
+func (c *canonizer) pushPreds(n int32) int {
+	base := len(c.preds)
+	nd := &c.nodes[n]
+	for k := nd.cls; k < nd.cls+nd.ncls; k++ {
+		cl := c.classes[k]
+		r := c.rep(k)
+		for _, m := range c.mems[cl.mem : cl.mem+cl.nmem] {
+			if m != r {
+				c.preds = append(c.preds, cpred{l: r, r: m})
+			}
+		}
+		for _, v := range c.csts[cl.cst : cl.cst+cl.ncst] {
+			c.preds = append(c.preds, cpred{l: r, v: v, isConst: true})
+		}
+	}
+	slices.SortFunc(c.preds[base:], func(a, b cpred) int {
+		if d := c.attrCmp(a.l, b.l); d != 0 {
+			return d
+		}
+		if a.isConst != b.isConst {
+			if a.isConst {
+				return 1
+			}
+			return -1
+		}
+		if a.isConst {
+			return compareValues(a.v, b.v)
+		}
+		return c.attrCmp(a.r, b.r)
+	})
+	return base
+}
+
+// projected returns the i-th attribute of projection n folded onto its
+// class representative in the selection directly below, if any.
+func (c *canonizer) projected(n int32, a Attr) cattr {
+	if sel := c.kids[c.nodes[n].kid]; c.nodes[sel].kind == kSel {
+		if k := c.classOf(sel, a); k >= 0 {
+			return c.rep(k)
+		}
+	}
+	return cattr{occ: c.lookup(a.Rel), name: a.Name}
+}
+
+// --- output: serialization --------------------------------------------------
+
+// serialize appends the canonical serialization of subtree n to c.buf: the
+// text of the canonical tree Canonical builds, operator by operator —
+// rel(base as base~n), sel[atoms](…), proj[attrs](…), and left-deep
+// prod(…,…), uni(…,…), diff(…,…). Equal serializations mean identical
+// canonical trees.
+func (c *canonizer) serialize(n int32) {
+	nd := &c.nodes[n]
+	switch nd.kind {
+	case kRel:
+		o := &c.occs[nd.occ]
+		c.buf = append(c.buf, "rel("...)
+		c.buf = append(c.buf, o.base...)
+		c.buf = append(c.buf, " as "...)
+		c.appendOcc(nd.occ)
+		c.buf = append(c.buf, ')')
+	case kSel:
+		base := c.pushPreds(n)
+		if len(c.preds) == base {
+			c.serialize(c.kids[nd.kid])
+			return
+		}
+		c.buf = append(c.buf, "sel["...)
+		for i, p := range c.preds[base:] {
+			if i > 0 {
+				c.buf = append(c.buf, ';')
+			}
+			c.appendAttr(p.l)
+			c.buf = append(c.buf, " = "...)
+			if p.isConst {
+				c.buf = appendSQL(c.buf, p.v)
+			} else {
+				c.appendAttr(p.r)
+			}
+		}
+		c.preds = c.preds[:base]
+		c.buf = append(c.buf, "]("...)
+		c.serialize(c.kids[nd.kid])
+		c.buf = append(c.buf, ')')
+	case kProj:
+		c.buf = append(c.buf, "proj["...)
+		for i, a := range nd.q.(*Project).Attrs {
+			if i > 0 {
+				c.buf = append(c.buf, ',')
+			}
+			c.appendAttr(c.projected(n, a))
+		}
+		c.buf = append(c.buf, "]("...)
+		c.serialize(c.kids[nd.kid])
+		c.buf = append(c.buf, ')')
+	case kProd, kUnion, kDiff:
+		tag := "prod("
+		switch nd.kind {
+		case kUnion:
+			tag = "uni("
+		case kDiff:
+			tag = "diff("
+		}
+		for i := int32(1); i < nd.nkid; i++ {
+			c.buf = append(c.buf, tag...)
+		}
+		c.serialize(c.kids[nd.kid])
+		for i := nd.kid + 1; i < nd.kid+nd.nkid; i++ {
+			c.buf = append(c.buf, ',')
+			c.serialize(c.kids[i])
+			c.buf = append(c.buf, ')')
+		}
+	}
+}
+
+// appendOcc appends occurrence o's canonical name, base~seq.
+func (c *canonizer) appendOcc(o int32) {
+	c.buf = append(c.buf, c.occs[o].base...)
+	c.buf = append(c.buf, '~')
+	c.buf = strconv.AppendInt(c.buf, int64(c.occs[o].seq), 10)
+}
+
+func (c *canonizer) appendAttr(a cattr) {
+	if a.occ >= 0 {
+		c.appendOcc(a.occ)
+	} else {
+		c.buf = append(c.buf, '?')
+	}
+	c.buf = append(c.buf, '.')
+	c.buf = append(c.buf, a.name...)
+}
+
+// appendSQL appends v's SQL literal (value.Value.SQL) without building it.
+func appendSQL(b []byte, v value.Value) []byte {
+	switch v.K {
+	case value.Int:
+		return strconv.AppendInt(b, v.I, 10)
+	case value.Str:
+		b = append(b, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.S[i])
+		}
+		return append(b, '\'')
+	}
+	return append(b, "NULL"...)
+}
+
+// --- output: tree ----------------------------------------------------------
+
+// tree builds the canonical tree of subtree n: the tree serialize renders.
+func (c *canonizer) tree(n int32) Query {
+	nd := &c.nodes[n]
+	switch nd.kind {
+	case kRel:
+		return &Relation{Name: c.attrRel(nd.occ), Base: c.occs[nd.occ].base}
+	case kSel:
+		base := c.pushPreds(n)
 		var preds []Pred
-		for _, cls := range classesOf(t.Preds) {
-			rep := cls.attrs[0]
-			for _, a := range cls.attrs[1:] {
-				preds = append(preds, EqAttr{L: rep, R: a})
-			}
-			for _, c := range cls.consts {
-				preds = append(preds, EqConst{A: rep, C: c})
+		for _, p := range c.preds[base:] {
+			if p.isConst {
+				preds = append(preds, EqConst{A: c.attr(p.l), C: p.v})
+			} else {
+				preds = append(preds, EqAttr{L: c.attr(p.l), R: c.attr(p.r)})
 			}
 		}
-		sort.Slice(preds, func(i, j int) bool { return preds[i].String() < preds[j].String() })
+		c.preds = c.preds[:base]
+		in := c.tree(c.kids[nd.kid])
 		if len(preds) == 0 {
 			return in
 		}
 		return &Select{In: in, Preds: preds}
-	case *Project:
-		in := canonPreds(t.In)
-		attrs := t.Attrs
-		// Fold each projected attribute through the equality classes of
-		// the selection directly below: all members carry equal values, so
-		// projecting the class representative is equivalent and canonical.
-		if sel, ok := in.(*Select); ok {
-			rep := map[Attr]Attr{}
-			for _, cls := range classesOf(sel.Preds) {
-				for _, m := range cls.attrs {
-					rep[m] = cls.attrs[0]
-				}
-			}
-			folded := make([]Attr, len(attrs))
-			for i, a := range attrs {
-				if r, ok := rep[a]; ok {
-					folded[i] = r
-				} else {
-					folded[i] = a
-				}
-			}
-			attrs = folded
+	case kProj:
+		src := nd.q.(*Project).Attrs
+		attrs := make([]Attr, len(src))
+		for i, a := range src {
+			attrs[i] = c.attr(c.projected(n, a))
 		}
-		return &Project{In: in, Attrs: attrs}
-	case *Product:
-		return &Product{L: canonPreds(t.L), R: canonPreds(t.R)}
-	case *Union:
-		return &Union{L: canonPreds(t.L), R: canonPreds(t.R)}
-	case *Diff:
-		return &Diff{L: canonPreds(t.L), R: canonPreds(t.R)}
-	default:
-		panic(fmt.Sprintf("ra: unknown query node %T", q))
+		return &Project{In: c.tree(c.kids[nd.kid]), Attrs: attrs}
 	}
+	out := c.tree(c.kids[nd.kid])
+	for i := nd.kid + 1; i < nd.kid+nd.nkid; i++ {
+		r := c.tree(c.kids[i])
+		switch nd.kind {
+		case kProd:
+			out = &Product{L: out, R: r}
+		case kUnion:
+			out = &Union{L: out, R: r}
+		default:
+			out = &Diff{L: out, R: r}
+		}
+	}
+	return out
 }
 
-// renameAll applies the occurrence renaming to every relation, predicate
-// and projection attribute of the tree.
-func renameAll(q Query, ren map[string]string) Query {
-	switch t := q.(type) {
-	case *Relation:
-		name := t.Name
-		if nn, ok := ren[name]; ok {
-			name = nn
-		}
-		return &Relation{Name: name, Base: t.Base}
-	case *Select:
-		return &Select{In: renameAll(t.In, ren), Preds: rewritePreds(t.Preds, ren)}
-	case *Project:
-		attrs := make([]Attr, len(t.Attrs))
-		for i, a := range t.Attrs {
-			attrs[i] = renameAttr(a, ren)
-		}
-		return &Project{In: renameAll(t.In, ren), Attrs: attrs}
-	case *Product:
-		return &Product{L: renameAll(t.L, ren), R: renameAll(t.R, ren)}
-	case *Union:
-		return &Union{L: renameAll(t.L, ren), R: renameAll(t.R, ren)}
-	case *Diff:
-		return &Diff{L: renameAll(t.L, ren), R: renameAll(t.R, ren)}
-	default:
-		panic(fmt.Sprintf("ra: unknown query node %T", q))
-	}
+// attrRel is occurrence o's canonical name.
+func (c *canonizer) attrRel(o int32) string {
+	mark := len(c.buf)
+	c.appendOcc(o)
+	name := string(c.buf[mark:])
+	c.buf = c.buf[:mark]
+	return name
 }
 
-// serialize renders a canonicalized tree as an unambiguous string; equal
-// strings mean structurally identical trees.
-func serialize(q Query) string {
-	var sb strings.Builder
-	writeSerial(&sb, q)
-	return sb.String()
-}
-
-func writeSerial(sb *strings.Builder, q Query) {
-	switch t := q.(type) {
-	case *Relation:
-		sb.WriteString("rel(")
-		sb.WriteString(t.Base)
-		sb.WriteString(" as ")
-		sb.WriteString(t.Name)
-		sb.WriteString(")")
-	case *Select:
-		sb.WriteString("sel[")
-		for i, p := range t.Preds {
-			if i > 0 {
-				sb.WriteString(";")
-			}
-			sb.WriteString(p.String())
-		}
-		sb.WriteString("](")
-		writeSerial(sb, t.In)
-		sb.WriteString(")")
-	case *Project:
-		sb.WriteString("proj[")
-		for i, a := range t.Attrs {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			sb.WriteString(a.String())
-		}
-		sb.WriteString("](")
-		writeSerial(sb, t.In)
-		sb.WriteString(")")
-	case *Product:
-		sb.WriteString("prod(")
-		writeSerial(sb, t.L)
-		sb.WriteString(",")
-		writeSerial(sb, t.R)
-		sb.WriteString(")")
-	case *Union:
-		sb.WriteString("uni(")
-		writeSerial(sb, t.L)
-		sb.WriteString(",")
-		writeSerial(sb, t.R)
-		sb.WriteString(")")
-	case *Diff:
-		sb.WriteString("diff(")
-		writeSerial(sb, t.L)
-		sb.WriteString(",")
-		writeSerial(sb, t.R)
-		sb.WriteString(")")
-	default:
-		panic(fmt.Sprintf("ra: unknown query node %T", q))
+func (c *canonizer) attr(a cattr) Attr {
+	if a.occ < 0 {
+		return Attr{Name: a.name}
 	}
+	return Attr{Rel: c.attrRel(a.occ), Name: a.name}
 }

@@ -27,3 +27,29 @@ func BenchmarkFingerprint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKeyOf prices the serving path's key: canonical order and
+// renaming in pooled scratch, serialization streamed into SHA-256.
+func BenchmarkKeyOf(b *testing.B) {
+	norm, err := Normalize(benchQuery(), fpSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		KeyOf(norm)
+	}
+}
+
+// BenchmarkOracleFingerprint prices the string canonicalizer KeyOf
+// replaced, on the same query.
+func BenchmarkOracleFingerprint(b *testing.B) {
+	norm, err := Normalize(benchQuery(), fpSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		OracleFingerprintNormalized(norm)
+	}
+}

@@ -34,6 +34,8 @@ func fuzzDB() *store.DB {
 }
 
 // FuzzNormalize checks, for every pair of parseable queries:
+//   - the two share a key exactly when they share the string oracle's
+//     fingerprint,
 //   - Canonical is idempotent and fingerprint-preserving,
 //   - canonicalization preserves semantics (the canonical query evaluates
 //     to the same answer as the original on a concrete instance),
@@ -69,6 +71,13 @@ func FuzzNormalize(f *testing.F) {
 		fp2, err2 := ra.Fingerprint(q2, fuzzSchema)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("fingerprint errors: %v / %v", err1, err2)
+		}
+		// The key partitions queries exactly as the string oracle does: no
+		// new cache misses, no new false hits.
+		o1, _ := ra.OracleFingerprint(q1, fuzzSchema)
+		o2, _ := ra.OracleFingerprint(q2, fuzzSchema)
+		if (fp1 == fp2) != (o1 == o2) {
+			t.Fatalf("key equality %v but oracle equality %v:\nq1: %q\nq2: %q", fp1 == fp2, o1 == o2, src1, src2)
 		}
 		if fp1 != fp2 {
 			return

@@ -4,6 +4,16 @@
 // (all relation occurrences distinct), query trees, max SPC sub-query
 // extraction, and the equality-atom closure ΣQ used throughout the coverage
 // analysis.
+//
+// It also canonicalizes queries. Coverage and the bounded plan depend only
+// on a query's syntax, so a serving layer may reuse one compilation for
+// every spelling of the same canonical query: KeyOf digests the canonical
+// form (occurrences renamed in a refinement-derived order, commutative
+// operands sorted, equality atoms folded per class) without allocating,
+// and Canonical builds the same form as a tree. The key is sound — equal
+// keys mean equal canonical forms, hence equal answers on every database —
+// but not complete: equivalent queries the bounded refinement cannot align
+// key apart, which costs a cache miss, never a wrong answer (see Key).
 package ra
 
 import (
