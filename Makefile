@@ -31,12 +31,13 @@ race:
 	$(GO) test -race -run 'TestFollowerCrashResume' -v ./internal/follower
 	$(GO) test -race -shuffle=on -run 'TestRecordsTailReadOpensOnlyFinalSegment|TestRecoverDBRejectsDuplicateLSN' -v ./internal/wal
 
-# gates runs the two budget gates the race step never runs: both files are
-# build-tagged !race (race instrumentation skews allocation counts), so
+# gates runs the three budget gates the race step never runs: the files
+# are build-tagged !race (race instrumentation skews allocation counts), so
 # they need a plain go test, exactly as CI runs them.
 gates:
 	$(GO) test -run 'TestExecAllocBudget' -v ./internal/exec
 	$(GO) test -run 'TestSeedAccessBudget' -v ./internal/ivm
+	$(GO) test -run 'TestKeyAllocBudget' -v ./internal/core
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/parser

@@ -4,8 +4,10 @@
 // canonical fingerprint of the query so repeated Execute calls skip the
 // PTIME analysis pipeline and go straight to plan execution.
 //
-// The cache is safe for concurrent use. Keys are strings (fingerprints);
-// values are opaque. Each shard holds its own mutex, hash map and intrusive
+// The cache is safe for concurrent use. Keys are any comparable type
+// hashed by a caller-supplied function (the engine keys plans by the
+// query's canonical ra.Key); New builds the string-keyed form. Values are
+// opaque. Each shard holds its own mutex, hash map and intrusive
 // LRU list, so concurrent readers on different shards never contend.
 // Eviction is per-shard LRU with a global capacity divided evenly across
 // shards.
@@ -50,35 +52,44 @@ func (s Stats) Merge(o Stats) Stats {
 }
 
 // Cache is a sharded LRU cache with a fixed total capacity.
-type Cache struct {
-	shards []shard
+type Cache[K comparable] struct {
+	shards []shard[K]
 	mask   uint64
-	seed   maphash.Seed
+	hash   func(K) uint64
 
 	hits, misses, evictions, purges atomic.Int64
 }
 
-type shard struct {
+type shard[K comparable] struct {
 	mu  sync.Mutex
-	m   map[string]*entry
+	m   map[K]*entry[K]
 	cap int
 	// Intrusive doubly-linked LRU list; head.next is most recent,
 	// head.prev least recent.
-	head entry
+	head entry[K]
 }
 
-type entry struct {
-	key        string
+type entry[K comparable] struct {
+	key        K
 	val        any
 	hits       int64 // lifetime Get count, read/written under the shard lock
-	prev, next *entry
+	prev, next *entry[K]
 }
 
-// New creates a cache holding at most capacity entries spread over the
-// given number of shards. The shard count is rounded up to a power of two;
-// capacity below the shard count is raised so every shard holds at least
-// one entry. New(0, n) or New(n, 0) panic.
-func New(capacity, shards int) *Cache {
+// New creates a string-keyed cache holding at most capacity entries spread
+// over the given number of shards, keys hashed with a per-cache maphash
+// seed. The shard count is rounded up to a power of two; capacity below
+// the shard count is raised so every shard holds at least one entry.
+// New(0, n) or New(n, 0) panic.
+func New(capacity, shards int) *Cache[string] {
+	seed := maphash.MakeSeed()
+	return NewHashed(capacity, shards, func(k string) uint64 { return maphash.String(seed, k) })
+}
+
+// NewHashed is New for any comparable key type: hash picks a key's shard
+// from its low bits, so it must spread keys evenly (a cryptographic
+// digest's leading bytes do).
+func NewHashed[K comparable](capacity, shards int, hash func(K) uint64) *Cache[K] {
 	if capacity <= 0 || shards <= 0 {
 		panic("cache: capacity and shards must be positive")
 	}
@@ -87,10 +98,10 @@ func New(capacity, shards int) *Cache {
 		n <<= 1
 	}
 	perShard := (capacity + n - 1) / n
-	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1), seed: maphash.MakeSeed()}
+	c := &Cache[K]{shards: make([]shard[K], n), mask: uint64(n - 1), hash: hash}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.m = make(map[string]*entry)
+		s.m = make(map[K]*entry[K])
 		s.cap = perShard
 		s.head.next = &s.head
 		s.head.prev = &s.head
@@ -98,13 +109,13 @@ func New(capacity, shards int) *Cache {
 	return c
 }
 
-func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[maphash.String(c.seed, key)&c.mask]
+func (c *Cache[K]) shardFor(key K) *shard[K] {
+	return &c.shards[c.hash(key)&c.mask]
 }
 
 // Get returns the value cached under key and whether it was present,
 // promoting the entry to most recently used.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache[K]) Get(key K) (any, bool) {
 	v, _, ok := c.GetTouch(key)
 	return v, ok
 }
@@ -114,7 +125,7 @@ func (c *Cache) Get(key string) (any, bool) {
 // materialization admission weighs against execution cost; it survives
 // promotions and value refreshes and dies with the entry on eviction or
 // purge.
-func (c *Cache) GetTouch(key string) (any, int64, bool) {
+func (c *Cache[K]) GetTouch(key K) (any, int64, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e, ok := s.m[key]
@@ -148,7 +159,7 @@ func (c *Cache) GetTouch(key string) (any, int64, bool) {
 // Put stores val under key, evicting the least recently used entry of the
 // key's shard when the shard is full. Storing an existing key refreshes its
 // value and recency.
-func (c *Cache) Put(key string, val any) {
+func (c *Cache[K]) Put(key K, val any) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok {
@@ -164,7 +175,7 @@ func (c *Cache) Put(key string, val any) {
 		delete(s.m, lru.key)
 		c.evictions.Add(1)
 	}
-	e := &entry{key: key, val: val}
+	e := &entry[K]{key: key, val: val}
 	s.m[key] = e
 	s.pushFront(e)
 	s.mu.Unlock()
@@ -172,12 +183,12 @@ func (c *Cache) Put(key string, val any) {
 
 // Purge drops every entry, counting them as purges (not evictions). It is
 // the invalidation hammer for events that outdate all plans at once.
-func (c *Cache) Purge() {
+func (c *Cache[K]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		c.purges.Add(int64(len(s.m)))
-		s.m = make(map[string]*entry)
+		s.m = make(map[K]*entry[K])
 		s.head.next = &s.head
 		s.head.prev = &s.head
 		s.mu.Unlock()
@@ -185,7 +196,7 @@ func (c *Cache) Purge() {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int {
+func (c *Cache[K]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -197,7 +208,7 @@ func (c *Cache) Len() int {
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[K]) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
@@ -207,13 +218,13 @@ func (c *Cache) Stats() Stats {
 	}.withHitRate()
 }
 
-func (s *shard) unlink(e *entry) {
+func (s *shard[K]) unlink(e *entry[K]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
-func (s *shard) pushFront(e *entry) {
+func (s *shard[K]) pushFront(e *entry[K]) {
 	e.next = s.head.next
 	e.prev = &s.head
 	s.head.next.prev = e

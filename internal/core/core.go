@@ -63,9 +63,10 @@ type Engine struct {
 	// every plan-cache key, so entries compiled against a dropped or
 	// rebuilt index can never be served again.
 	version atomic.Uint64
-	// plans caches compiled queries by canonical fingerprint. nil disables
-	// caching (the zero Engine still works).
-	plans *cache.Cache
+	// plans caches compiled queries by planKey: canonical query key,
+	// option shape and version. nil disables caching (the zero Engine
+	// still works).
+	plans *cache.Cache[planKey]
 
 	// views maintains materialized answers for hot fingerprints (nil
 	// disables IVM; see SetIVMConfig). The pointer is atomic so the write
@@ -114,10 +115,13 @@ type Options struct {
 	// FallbackToBaseline executes uncovered queries with the conventional
 	// evaluator instead of returning an error.
 	FallbackToBaseline bool
-	// Cache serves repeated queries from the plan cache: queries with the
-	// same canonical fingerprint (ra.Fingerprint) skip coverage checking,
-	// rewriting, minimization and plan generation. Default on in
-	// DefaultOptions.
+	// Cache serves repeated queries from the plan cache and the
+	// materialized views: queries with the same canonical key (ra.KeyOf of
+	// the normalized query) and the same Minimize/Rewrite settings skip
+	// coverage checking, rewriting, minimization and plan generation, and
+	// a hot one is answered from its maintained view without running a
+	// plan. The key is computed without allocating, so a repeat costs a
+	// normalization, a key and a lookup. Default on in DefaultOptions.
 	Cache bool
 }
 
@@ -149,7 +153,7 @@ func NewEngine(schema ra.Schema, A *access.Schema, db *store.DB) (*Engine, error
 		schema: schema,
 		acc:    A,
 		db:     db,
-		plans:  cache.New(DefaultPlanCacheSize, DefaultPlanCacheShards),
+		plans:  newPlanCache(DefaultPlanCacheSize),
 	}
 	e.views.Store(ivm.NewManager(ivm.DefaultConfig()))
 	return e, nil
@@ -164,7 +168,7 @@ func (e *Engine) SetPlanCacheCapacity(capacity int) {
 		e.plans = nil
 		return
 	}
-	e.plans = cache.New(capacity, DefaultPlanCacheShards)
+	e.plans = newPlanCache(capacity)
 }
 
 // CacheStats returns a snapshot of the plan-cache counters.
@@ -304,25 +308,27 @@ func (e *Engine) Execute(q ra.Query, opts Options) (*exec.Table, *Report, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.ExecuteNormalized(norm, "", opts)
+	return e.ExecuteNormalized(norm, ra.Key{}, opts)
 }
 
 // ExecuteNormalized is Execute for callers that already hold the
 // normalized form of the query — the sharded router, which normalizes
-// once and fans the same form out to several engines. norm must be the
-// result of ra.Normalize under the engine's schema, and fp, when
-// non-empty, must be ra.FingerprintNormalized(norm) (an empty fp is
-// computed on demand); passing anything else corrupts plan-cache
-// identity.
-func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exec.Table, *Report, error) {
+// and keys once and fans the same form out to several engines. norm must
+// be the result of ra.Normalize under the engine's schema, and fp must be
+// ra.KeyOf(norm) or the zero Key (computed on demand, and only when
+// opts.Cache is on); passing any other key corrupts plan-cache and view
+// identity: a wrong key serves another query's plan or answer.
+func (e *Engine) ExecuteNormalized(norm ra.Query, fp ra.Key, opts Options) (*exec.Table, *Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	var key string
-	if opts.Cache && e.plans != nil {
-		if fp == "" {
-			fp = ra.FingerprintNormalized(norm)
+	cached := opts.Cache && e.plans != nil
+	var key planKey
+	if cached {
+		if fp == (ra.Key{}) {
+			fp = ra.KeyOf(norm)
 		}
+		vk := viewKey(fp, opts)
 		mgr := e.views.Load()
 		if mgr != nil {
 			// Materialized fast path: the answer is already maintained
@@ -330,7 +336,7 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 			// purged under the exclusive engine lock on every version
 			// bump, so a snapshot served under the shared lock can never
 			// outlive the access schema it was built against.
-			if t, info, ok := mgr.Serve(viewKey(fp, opts)); ok {
+			if t, info, ok := mgr.Serve(vk); ok {
 				rep := &Report{CacheHit: true, Materialized: true, Version: e.version.Load()}
 				analyzed(info.(*compiled), rep)
 				return t, rep, nil
@@ -341,7 +347,6 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 			c := v.(*compiled)
 			t, rep, err := e.runCompiled(c, opts, &Report{CacheHit: true, Version: e.version.Load()})
 			if err == nil && mgr != nil {
-				vk := viewKey(fp, opts)
 				if cost := float64(rep.Stats.Accessed) + 1; mgr.ShouldAdmit(vk, hits, cost) {
 					e.materialize(mgr, vk, c, t, cost)
 				}
@@ -355,19 +360,46 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 	if err != nil {
 		return nil, nil, err
 	}
-	if key != "" {
+	if cached {
 		e.plans.Put(key, c)
 	}
 	return e.runCompiled(c, opts, rep)
 }
 
-// cacheKeyLocked renders the plan-cache key for a fingerprint under the
+// planKey is a plan-cache key: the query's canonical key, the
+// analysis-shaping option bits, and the engine version the entry was
+// compiled under. A fixed-size value, so a lookup builds no string.
+type planKey struct {
+	version uint64
+	query   ra.Key
+	shape   uint8
+}
+
+// newPlanCache builds a plan cache sharded by the query key's leading
+// bytes (a SHA-256 digest is already uniform).
+func newPlanCache(capacity int) *cache.Cache[planKey] {
+	return cache.NewHashed(capacity, DefaultPlanCacheShards, func(k planKey) uint64 { return k.query.Hash() })
+}
+
+// shapeOf packs the options that shape a compile artifact into key bits.
+func shapeOf(opts Options) uint8 {
+	var b uint8
+	if opts.Minimize {
+		b |= 1
+	}
+	if opts.Rewrite {
+		b |= 2
+	}
+	return b
+}
+
+// cacheKeyLocked returns the plan-cache key for a query key under the
 // current engine version and the analysis-shaping options. The version is
 // part of the key so entries compiled before a schema or access-schema
 // change can never be served after it. Called with e.mu held (shared or
 // exclusive).
-func (e *Engine) cacheKeyLocked(fp string, opts Options) string {
-	return fmt.Sprintf("v%d|m%t|r%t|%s", e.version.Load(), opts.Minimize, opts.Rewrite, fp)
+func (e *Engine) cacheKeyLocked(fp ra.Key, opts Options) planKey {
+	return planKey{version: e.version.Load(), query: fp, shape: shapeOf(opts)}
 }
 
 // Analyze runs the analysis half of the pipeline on norm — exactly the
@@ -384,14 +416,15 @@ func (e *Engine) cacheKeyLocked(fp string, opts Options) string {
 // healthy cluster carries the same access schema — then runs that plan
 // over fetches routed to the shards that hold the data. fp follows the
 // ExecuteNormalized contract.
-func (e *Engine) Analyze(norm ra.Query, fp string, opts Options) (*Report, error) {
+func (e *Engine) Analyze(norm ra.Query, fp ra.Key, opts Options) (*Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	var key string
-	if opts.Cache && e.plans != nil {
-		if fp == "" {
-			fp = ra.FingerprintNormalized(norm)
+	cached := opts.Cache && e.plans != nil
+	var key planKey
+	if cached {
+		if fp == (ra.Key{}) {
+			fp = ra.KeyOf(norm)
 		}
 		key = e.cacheKeyLocked(fp, opts)
 		if v, ok := e.plans.Get(key); ok {
@@ -405,7 +438,7 @@ func (e *Engine) Analyze(norm ra.Query, fp string, opts Options) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
+	if cached {
 		e.plans.Put(key, c)
 	}
 	analyzed(c, rep)

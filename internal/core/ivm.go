@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/ivm"
+	"repro/internal/ra"
 )
 
 // viewKey derives the serving key of a materialized answer. The answer of
@@ -13,9 +12,9 @@ import (
 // the view is shaped by the Minimize/Rewrite options, and error semantics
 // differ too (an uncovered query with Rewrite off must keep failing under
 // FallbackToBaseline=false) — so views are keyed per option shape, like
-// plan-cache entries minus the version prefix.
-func viewKey(fp string, opts Options) string {
-	return fmt.Sprintf("m%t|r%t|%s", opts.Minimize, opts.Rewrite, fp)
+// plan-cache entries minus the version.
+func viewKey(fp ra.Key, opts Options) ivm.Key {
+	return ivm.Key{Query: fp, Shape: shapeOf(opts)}
 }
 
 // SetIVMConfig replaces the materialization policy, dropping every live
@@ -61,7 +60,7 @@ func (e *Engine) PurgeMaterializations() {
 // seed is the just-executed answer whose column labels the published
 // snapshots adopt, and cost its measured execution cost, the view's worth
 // per read to the admission gate.
-func (e *Engine) materialize(mgr *ivm.Manager, key string, c *compiled, seed *exec.Table, cost float64) {
+func (e *Engine) materialize(mgr *ivm.Manager, key ivm.Key, c *compiled, seed *exec.Table, cost float64) {
 	v, err := ivm.Build(c.norm, e.schema, seed.Cols, mgr.Config().MaxViewRows)
 	if err != nil {
 		mgr.Deny(key)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/ra"
 	"repro/internal/store"
 )
 
@@ -94,9 +95,18 @@ func (s Stats) Merge(o Stats) Stats {
 	return s
 }
 
+// Key identifies a materialized answer: the query's canonical key
+// (ra.KeyOf) plus the owning engine's option bits, which shape the compile
+// artifact stored with the view. It is a fixed-size value, so serving a
+// read builds no string.
+type Key struct {
+	Query ra.Key
+	Shape uint8
+}
+
 // entry is one live view keyed by its serving key.
 type entry struct {
-	key  string
+	key  Key
 	view *View
 	// info is an opaque compile artifact the owning engine stored at
 	// admission, returned verbatim on every Serve so the engine can fill
@@ -141,8 +151,8 @@ type Manager struct {
 	seedFetched, seedScanned, buildNanos      atomic.Int64
 
 	mu    sync.RWMutex
-	views map[string]*entry
-	deny  map[string]bool
+	views map[Key]*entry
+	deny  map[Key]bool
 	// byRel routes writes: base relation → the views that depend on it. The
 	// map and its slices are immutable once published and replaced wholesale
 	// (under mu) whenever the view set changes, so the write path reads the
@@ -155,8 +165,8 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:   cfg,
 		freq:  newSketch(cfg.Budget),
-		views: map[string]*entry{},
-		deny:  map[string]bool{},
+		views: map[Key]*entry{},
+		deny:  map[Key]bool{},
 	}
 	m.byRel.Store(&map[string][]*entry{})
 	return m
@@ -182,7 +192,7 @@ func (m *Manager) Tracks(rel string) bool {
 // admission info, and whether a view was live. The returned table is
 // shared and read-only. Every call counts one read of key in the
 // frequency sketch, served or not.
-func (m *Manager) Serve(key string) (*exec.Table, any, bool) {
+func (m *Manager) Serve(key Key) (*exec.Table, any, bool) {
 	m.freq.add(sketchHash(key))
 	m.mu.RLock()
 	e := m.views[key]
@@ -200,7 +210,7 @@ func (m *Manager) Serve(key string) (*exec.Table, any, bool) {
 }
 
 // Has reports whether a view is live under key.
-func (m *Manager) Has(key string) bool {
+func (m *Manager) Has(key Key) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.views[key] != nil
@@ -212,7 +222,7 @@ func (m *Manager) Has(key string) bool {
 // displacement gate: the candidate's decayed frequency × cost must exceed
 // admitMargin × that of the resident Admit would evict (the victim), or
 // the refusal is counted as Rejected.
-func (m *Manager) ShouldAdmit(key string, hits int64, cost float64) bool {
+func (m *Manager) ShouldAdmit(key Key, hits int64, cost float64) bool {
 	if !m.cfg.Enabled() || hits < m.cfg.MinHits || float64(hits)*cost < m.cfg.MinScore {
 		return false
 	}
@@ -255,7 +265,7 @@ func (m *Manager) victimLocked() (*entry, float64) {
 }
 
 // Denied reports whether key was rejected at a previous build attempt.
-func (m *Manager) Denied(key string) bool {
+func (m *Manager) Denied(key Key) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.deny[key]
@@ -266,7 +276,7 @@ func (m *Manager) Denied(key string) bool {
 // entry to make room: forgetting an old denial costs one rebuild, while
 // not recording a new one would rebuild that view on every repeat. The
 // negative cache is dropped on PurgeAll.
-func (m *Manager) Deny(key string) {
+func (m *Manager) Deny(key Key) {
 	m.denied.Add(1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -283,7 +293,7 @@ func (m *Manager) Deny(key string) {
 // budget is exceeded. info is returned verbatim by Serve; cost is the
 // query's measured execution cost (tuples accessed + 1), the view's worth
 // per read. Admitting a key that is already live is a no-op.
-func (m *Manager) Admit(key string, v *View, info any, cost float64) {
+func (m *Manager) Admit(key Key, v *View, info any, cost float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.views[key] != nil {
@@ -304,7 +314,7 @@ func (m *Manager) Admit(key string, v *View, info any, cost float64) {
 // large). It is the part of a materialization that must run with writers
 // excluded — the caller holds the engine's fence exclusively around it —
 // and it accounts what that exclusion cost: tuples read, and time held.
-func (m *Manager) Install(key string, v *View, db *store.DB, info any, cost float64) error {
+func (m *Manager) Install(key Key, v *View, db *store.DB, info any, cost float64) error {
 	start := time.Now()
 	err := v.Seed(db)
 	if err != nil {
@@ -397,9 +407,9 @@ func (m *Manager) PurgeAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.purged.Add(int64(len(m.views)))
-	m.views = map[string]*entry{}
+	m.views = map[Key]*entry{}
 	m.byRel.Store(&map[string][]*entry{})
-	m.deny = map[string]bool{}
+	m.deny = map[Key]bool{}
 }
 
 // Stats returns a snapshot of the materialization counters.

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -42,10 +43,10 @@ func TestManagerBudgetNeverExceeded(t *testing.T) {
 	for _, budget := range []int{1, 3, 8} {
 		m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0, MaxViewRows: 0})
 		for i := 0; i < 4*budget; i++ {
-			m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil, 1)
+			m.Admit(testKey(fmt.Sprintf("k%d", i)), mkView(t), nil, 1)
 			// Random serves shuffle the benefit ordering between admissions.
 			for j := 0; j < rng.Intn(4); j++ {
-				m.Serve(fmt.Sprintf("k%d", rng.Intn(i+1)))
+				m.Serve(testKey(fmt.Sprintf("k%d", rng.Intn(i+1))))
 			}
 			if got := m.Len(); got > budget {
 				t.Fatalf("budget %d: %d live views after %d admissions", budget, got, i+1)
@@ -66,29 +67,29 @@ func TestManagerBudgetNeverExceeded(t *testing.T) {
 // served among equals.
 func TestManagerEvictionByBenefit(t *testing.T) {
 	m := NewManager(Config{Budget: 3, MinHits: 1, MinScore: 0})
-	m.Admit("cold", mkView(t), nil, 1)
-	m.Admit("warm", mkView(t), nil, 1)
-	m.Admit("pricey", mkView(t), nil, 10)
-	m.Serve("warm")
-	m.Serve("warm")
-	m.Serve("pricey")
+	m.Admit(testKey("cold"), mkView(t), nil, 1)
+	m.Admit(testKey("warm"), mkView(t), nil, 1)
+	m.Admit(testKey("pricey"), mkView(t), nil, 10)
+	m.Serve(testKey("warm"))
+	m.Serve(testKey("warm"))
+	m.Serve(testKey("pricey"))
 	// Worth: cold 0×1, warm 2×1, pricey 1×10.
-	m.Admit("new", mkView(t), nil, 1)
-	if m.Has("cold") {
+	m.Admit(testKey("new"), mkView(t), nil, 1)
+	if m.Has(testKey("cold")) {
 		t.Fatal("cold should have been evicted first (never read)")
 	}
-	m.Serve("new")
-	m.Serve("new")
+	m.Serve(testKey("new"))
+	m.Serve(testKey("new"))
 	// warm and new are both worth 2×1; warm was served last before new
 	// was admitted, so it is the least recently served of the tie.
-	m.Admit("cold", mkView(t), nil, 1)
-	if m.Has("warm") {
+	m.Admit(testKey("cold"), mkView(t), nil, 1)
+	if m.Has(testKey("warm")) {
 		t.Fatal("warm should have lost the tie to the more recently served new")
 	}
 	// Frequency × cost, not frequency: pricey was read once, but each read
 	// is worth ten of the others'.
 	for _, k := range []string{"pricey", "new", "cold"} {
-		if !m.Has(k) {
+		if !m.Has(testKey(k)) {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
@@ -99,28 +100,28 @@ func TestManagerEvictionByBenefit(t *testing.T) {
 func TestManagerPurgeAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewManager(Config{Budget: 16, MinHits: 1, MinScore: 0})
-	keys := make([]string, 10)
+	keys := make([]Key, 10)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
+		keys[i] = testKey(fmt.Sprintf("k%d", i))
 		m.Admit(keys[i], mkView(t), nil, 1)
 		if rng.Intn(2) == 0 {
 			m.Serve(keys[i])
 		}
 	}
-	m.Deny("rejected")
+	m.Deny(testKey("rejected"))
 	m.PurgeAll()
 	if got := m.Len(); got != 0 {
 		t.Fatalf("%d views live after PurgeAll", got)
 	}
-	for _, k := range keys {
+	for i, k := range keys {
 		if m.Has(k) {
-			t.Fatalf("%s survived PurgeAll", k)
+			t.Fatalf("k%d survived PurgeAll", i)
 		}
 		if _, _, ok := m.Serve(k); ok {
-			t.Fatalf("%s still serves after PurgeAll", k)
+			t.Fatalf("k%d still serves after PurgeAll", i)
 		}
 	}
-	if m.Denied("rejected") {
+	if m.Denied(testKey("rejected")) {
 		t.Fatal("denial cache survived PurgeAll")
 	}
 	if st := m.Stats(); st.Purged != int64(len(keys)) {
@@ -133,25 +134,25 @@ func TestManagerPurgeAll(t *testing.T) {
 // config admits nothing.
 func TestManagerAdmission(t *testing.T) {
 	m := NewManager(Config{Budget: 4, MinHits: 3, MinScore: 30})
-	if m.ShouldAdmit("k", 2, 1000) {
+	if m.ShouldAdmit(testKey("k"), 2, 1000) {
 		t.Fatal("admitted below MinHits")
 	}
-	if m.ShouldAdmit("k", 5, 1) {
+	if m.ShouldAdmit(testKey("k"), 5, 1) {
 		t.Fatal("admitted below MinScore")
 	}
-	if !m.ShouldAdmit("k", 3, 10) {
+	if !m.ShouldAdmit(testKey("k"), 3, 10) {
 		t.Fatal("3 hits × cost 10 = 30 should admit")
 	}
-	m.Admit("k", mkView(t), nil, 1)
-	if m.ShouldAdmit("k", 100, 100) {
+	m.Admit(testKey("k"), mkView(t), nil, 1)
+	if m.ShouldAdmit(testKey("k"), 100, 100) {
 		t.Fatal("re-admitted a live key")
 	}
-	m.Deny("bad")
-	if m.ShouldAdmit("bad", 100, 100) {
+	m.Deny(testKey("bad"))
+	if m.ShouldAdmit(testKey("bad"), 100, 100) {
 		t.Fatal("admitted a denied key")
 	}
 	off := NewManager(Config{})
-	if off.ShouldAdmit("k", 1000, 1000) {
+	if off.ShouldAdmit(testKey("k"), 1000, 1000) {
 		t.Fatal("disabled config admitted")
 	}
 }
@@ -172,8 +173,8 @@ func TestManagerFallbackDropsView(t *testing.T) {
 	}
 	healthy := mkView(t)
 	m := NewManager(Config{Budget: 4, MinHits: 1, MinScore: 0})
-	m.Admit("capped", capped, nil, 1)
-	m.Admit("healthy", healthy, nil, 1)
+	m.Admit(testKey("capped"), capped, nil, 1)
+	m.Admit(testKey("healthy"), healthy, nil, 1)
 	ops := []store.TupleOp{
 		{Rel: "r", T: value.Tuple{value.NewInt(1)}},
 		{Rel: "r", T: value.Tuple{value.NewInt(2)}},
@@ -184,10 +185,10 @@ func TestManagerFallbackDropsView(t *testing.T) {
 		}
 	}
 	m.OnWrite(ops)
-	if m.Has("capped") {
+	if m.Has(testKey("capped")) {
 		t.Fatal("over-cap view should have been dropped")
 	}
-	if !m.Has("healthy") {
+	if !m.Has(testKey("healthy")) {
 		t.Fatal("healthy view should survive a sibling's fallback")
 	}
 	if st := m.Stats(); st.Fallbacks != 1 {
@@ -202,7 +203,7 @@ func TestManagerTracks(t *testing.T) {
 	if m.Tracks("r") {
 		t.Fatal("empty manager tracks r")
 	}
-	m.Admit("k", mkView(t), nil, 1)
+	m.Admit(testKey("k"), mkView(t), nil, 1)
 	if !m.Tracks("r") {
 		t.Fatal("admitted view over r not tracked")
 	}
@@ -235,20 +236,20 @@ func TestManagerInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install("ok", v, db, "info", 1); err != nil {
+	if err := m.Install(testKey("ok"), v, db, "info", 1); err != nil {
 		t.Fatal(err)
 	}
-	if tbl, info, ok := m.Serve("ok"); !ok || info != "info" || tbl.Len() != 2 {
+	if tbl, info, ok := m.Serve(testKey("ok")); !ok || info != "info" || tbl.Len() != 2 {
 		t.Fatalf("installed view serves %v, %v, %t", tbl, info, ok)
 	}
 	small, err := Build(norm, s, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Install("big", small, db, nil, 1); !errors.Is(err, ErrViewTooLarge) {
+	if err := m.Install(testKey("big"), small, db, nil, 1); !errors.Is(err, ErrViewTooLarge) {
 		t.Fatalf("Install over the row cap = %v, want ErrViewTooLarge", err)
 	}
-	if m.Has("big") || !m.Denied("big") {
+	if m.Has(testKey("big")) || !m.Denied(testKey("big")) {
 		t.Fatal("a failed seeding must be denied, not admitted")
 	}
 	st := m.Stats()
@@ -268,7 +269,7 @@ func TestManagerInstall(t *testing.T) {
 func TestManagerWriteRoute(t *testing.T) {
 	m := NewManager(Config{Budget: 2, MinHits: 1, MinScore: 0})
 	for i := 0; i < 5; i++ { // three of the five are evicted again
-		m.Admit(fmt.Sprintf("k%d", i), mkView(t), nil, 1)
+		m.Admit(testKey(fmt.Sprintf("k%d", i)), mkView(t), nil, 1)
 	}
 	if got := len((*m.byRel.Load())["r"]); got != 2 {
 		t.Fatalf("route for r lists %d views, want the 2 live ones", got)
@@ -307,7 +308,7 @@ func BenchmarkManagerOnWrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m.Install(fmt.Sprint(i), v, db, nil, 1); err != nil {
+		if err := m.Install(testKey(fmt.Sprint(i)), v, db, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,7 +335,7 @@ func BenchmarkManagerOnWrite(b *testing.B) {
 // gateRead is one engine-style read of key: Serve, and on a miss the
 // admission check and, when it passes, the admission of v at cost. It
 // reports whether the read was served and whether it admitted a view.
-func gateRead(m *Manager, key string, cost float64, v *View) (served, admitted bool) {
+func gateRead(m *Manager, key Key, cost float64, v *View) (served, admitted bool) {
 	if _, _, ok := m.Serve(key); ok {
 		return true, false
 	}
@@ -356,9 +357,9 @@ func TestManagerAdmissionGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
 	period := int(m.freq.period)
-	uniform := make([]string, 4*budget)
+	uniform := make([]Key, 4*budget)
 	for i := range uniform {
-		uniform[i] = fmt.Sprintf("u%d", i)
+		uniform[i] = testKey(fmt.Sprintf("u%d", i))
 	}
 	// The fill: free slots admit on the plain formula, and the gate then
 	// settles which of the equally hot keys hold them.
@@ -383,7 +384,7 @@ func TestManagerAdmissionGate(t *testing.T) {
 	}
 	// (b) The hot set moves to 4 new keys: they displace the old residents
 	// and serve nearly every read.
-	hot := []string{"h0", "h1", "h2", "h3"}
+	hot := []Key{testKey("h0"), testKey("h1"), testKey("h2"), testKey("h3")}
 	served := 0
 	for i := 0; i < 5000; i++ {
 		if ok, _ := gateRead(m, hot[rng.Intn(len(hot))], 1, v); ok {
@@ -396,13 +397,13 @@ func TestManagerAdmissionGate(t *testing.T) {
 	// (c) Hot once, then silent for eight halving periods.
 	m = NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
 	for i := 0; i < period; i++ {
-		gateRead(m, "old", 1, v)
+		gateRead(m, testKey("old"), 1, v)
 	}
 	others := uniform[:2*budget]
 	for i := 0; i < 8*period; i++ {
 		gateRead(m, others[rng.Intn(len(others))], 1, v)
 	}
-	if m.Has("old") {
+	if m.Has(testKey("old")) {
 		t.Fatal("a resident silent for eight halving periods still holds its view")
 	}
 }
@@ -415,12 +416,12 @@ func TestManagerSketch(t *testing.T) {
 	s := newSketch(8)
 	rng := rand.New(rand.NewSource(3))
 	// More keys than counters per row, Zipf-skewed: cells are shared.
-	keys := make([]string, 4*s.width)
+	keys := make([]Key, 4*s.width)
 	for i := range keys {
-		keys[i] = fmt.Sprint(i)
+		keys[i] = testKey(fmt.Sprint(i))
 	}
 	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(keys)-1))
-	truth := map[string]uint32{}
+	truth := map[Key]uint32{}
 	for i := int64(1); i < s.period; i++ {
 		k := keys[zipf.Uint64()]
 		s.add(sketchHash(k))
@@ -428,7 +429,7 @@ func TestManagerSketch(t *testing.T) {
 	}
 	for k, n := range truth {
 		if est := s.estimate(sketchHash(k)); est < n {
-			t.Fatalf("key %s: estimate %d below its true count %d", k, est, n)
+			t.Fatalf("key %x: estimate %d below its true count %d", k.Query[:4], est, n)
 		}
 	}
 	before := make([]uint32, len(s.cells))
@@ -442,7 +443,7 @@ func TestManagerSketch(t *testing.T) {
 		}
 	}
 	fresh := newSketch(8)
-	h := sketchHash("k")
+	h := sketchHash(testKey("k"))
 	for i := int64(1); i < fresh.period; i++ {
 		fresh.add(h)
 	}
@@ -457,13 +458,13 @@ func TestManagerSketch(t *testing.T) {
 
 // fullManager returns a manager holding a full budget of 64 views — one
 // view shared by 64 keys of costs 1..64, each read once — and their keys,
-// shaped like an engine's view keys (option prefix + 64 hex digits).
-func fullManager(tb testing.TB) (*Manager, []string) {
+// shaped like an engine's view keys.
+func fullManager(tb testing.TB) (*Manager, []Key) {
 	m := NewManager(Config{Budget: 64, MinHits: 1, MinScore: 0})
 	v := mkView(tb)
-	keys := make([]string, 64)
+	keys := make([]Key, 64)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("mtrue|rtrue|%064x", i)
+		keys[i] = testKey(fmt.Sprint(i))
 		m.Admit(keys[i], v, nil, float64(i+1))
 		m.Serve(keys[i])
 	}
@@ -477,9 +478,9 @@ func TestManagerHotPathAllocs(t *testing.T) {
 	m, keys := fullManager(t)
 	for name, read := range map[string]func(){
 		"Serve hit":  func() { m.Serve(keys[7]) },
-		"Serve miss": func() { m.Serve("absent") },
+		"Serve miss": func() { m.Serve(testKey("absent")) },
 		"ShouldAdmit": func() {
-			if m.ShouldAdmit("unread", 10, 1) {
+			if m.ShouldAdmit(testKey("unread"), 10, 1) {
 				t.Fatal("a candidate never read displaced a resident")
 			}
 		},
@@ -507,13 +508,13 @@ func BenchmarkManagerServe(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			m.Serve("absent")
+			m.Serve(testKey("absent"))
 		}
 	})
 	b.Run("admit", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			m.ShouldAdmit("unread", 10, 1)
+			m.ShouldAdmit(testKey("unread"), 10, 1)
 		}
 	})
 }
@@ -524,16 +525,16 @@ func BenchmarkManagerServe(b *testing.B) {
 func TestManagerDenyOverflow(t *testing.T) {
 	m := NewManager(Config{Budget: 4, MinHits: 1, MinScore: 0})
 	for i := 0; i < maxDenied; i++ {
-		m.Deny(fmt.Sprint(i))
+		m.Deny(testKey(fmt.Sprint(i)))
 	}
-	m.Deny("x")
-	if !m.Denied("x") {
+	m.Deny(testKey("x"))
+	if !m.Denied(testKey("x")) {
 		t.Fatal("a denial into a full cache was not recorded")
 	}
 	if len(m.deny) > maxDenied {
 		t.Fatalf("the denial cache grew to %d past its bound %d", len(m.deny), maxDenied)
 	}
-	m.Deny("x")
+	m.Deny(testKey("x"))
 	if len(m.deny) != maxDenied {
 		t.Fatalf("re-denying a recorded key dropped another: %d entries", len(m.deny))
 	}
@@ -559,9 +560,9 @@ func TestManagerGateStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, 3*budget)
+	keys := make([]Key, 3*budget)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
+		keys[i] = testKey(fmt.Sprintf("k%d", i))
 	}
 	m := NewManager(Config{Budget: budget, MinHits: 1, MinScore: 0})
 	var (
@@ -582,7 +583,7 @@ func TestManagerGateStorm(t *testing.T) {
 				seen := purge.Load()
 				if _, info, ok := m.Serve(keys[k]); ok {
 					if info.(int64) < seen {
-						t.Errorf("%s: a view installed before purge %d was served after it", keys[k], seen)
+						t.Errorf("key %d: a view installed before purge %d was served after it", k, seen)
 						return
 					}
 					continue
@@ -628,4 +629,10 @@ func TestManagerGateStorm(t *testing.T) {
 	if st := m.Stats(); st.Admitted == 0 || st.Rejected == 0 || st.Purged == 0 {
 		t.Fatalf("the storm did not exercise admission, the gate and purges: %+v", st)
 	}
+}
+
+// testKey derives a view key from a label, the way an engine derives one
+// from a query: a SHA-256 digest.
+func testKey(label string) Key {
+	return Key{Query: ra.Key(sha256.Sum256([]byte(label))), Shape: 3}
 }

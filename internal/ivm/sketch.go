@@ -1,6 +1,9 @@
 package ivm
 
-import "sync/atomic"
+import (
+	"encoding/binary"
+	"sync/atomic"
+)
 
 // sketchRows is the depth of the frequency sketch: an estimate is the
 // minimum over this many independently indexed counters.
@@ -46,21 +49,18 @@ func newSketch(budget int) *sketch {
 	}
 }
 
-// sketchHash is a key's sketch hash: FNV-1a over 8-byte words, then the
+// sketchHash is a key's sketch hash: FNV-1a over the key's bytes (the
+// query digest as four 8-byte words, then the option bits), then the
 // murmur3 finalizer. It is fixed, not seeded per process, so which keys
 // share cells — and with it every admission decision — is the same from
 // run to run. Callers that score a key repeatedly keep its hash.
-func sketchHash(key string) uint64 {
+func sketchHash(k Key) uint64 {
 	const prime = 0x100000001b3
 	h := uint64(0xcbf29ce484222325)
-	for ; len(key) >= 8; key = key[8:] {
-		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-		h = (h ^ w) * prime
+	for i := 0; i < len(k.Query); i += 8 {
+		h = (h ^ binary.LittleEndian.Uint64(k.Query[i:])) * prime
 	}
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime
-	}
+	h = (h ^ uint64(k.Shape)) * prime
 	h = (h ^ h>>33) * 0xff51afd7ed558ccd
 	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
 	return h ^ h>>33

@@ -118,7 +118,7 @@ type Server struct {
 	// Safe to cache unconditionally: the rendering depends only on the
 	// query and the relational schema, which is fixed for the engine's
 	// lifetime — never on data or access-schema state.
-	canon *cache.Cache
+	canon *cache.Cache[string]
 
 	start    time.Time
 	requests atomic.Int64

@@ -42,7 +42,7 @@ import (
 // cmu, outside the read fence. Such a failure while some member's version
 // differs from the plan's returns errSchemaMoved, and Execute routes the
 // query again.
-func (r *Router) execResidue(norm ra.Query, fp string, opts core.Options, st *ringState, ps *partState) (*exec.Table, *core.Report, error) {
+func (r *Router) execResidue(norm ra.Query, fp ra.Key, opts core.Options, st *ringState, ps *partState) (*exec.Table, *core.Report, error) {
 	rep, err := st.members[0].eng.Analyze(norm, fp, opts)
 	if err != nil {
 		return nil, nil, err

@@ -290,11 +290,11 @@ type Router struct {
 	// growing Reshard builds; nil means engines keep their default.
 	ivmCfg atomic.Pointer[ivm.Config]
 
-	// decisions caches routing decisions by query fingerprint. Routing
+	// decisions caches routing decisions by canonical query key. Routing
 	// depends on the canonical query, the placement assignment and the
 	// ring — never on data or the access schema — so every entry is
 	// stamped with its (epoch, generation) and ignored once either moves.
-	decisions *cache.Cache
+	decisions *cache.Cache[ra.Key]
 
 	// aq is the broadcast apply pipeline: the anchor's write commits
 	// synchronously, the other members' copies are enqueued here per
@@ -314,12 +314,12 @@ type Router struct {
 	demoting map[string]*atomic.Bool
 
 	// hmu guards history: the normalized form and options of recently
-	// routed queries, keyed by fingerprint. Reshard growth replays it
+	// routed queries, keyed by canonical query key. Reshard growth replays it
 	// against fresh engines to prewarm their plan caches before the flip.
 	// Bounded at historyCap; recorded only on decision-cache misses, so
 	// the hot path never touches it.
 	hmu     sync.Mutex
-	history map[string]prewarmEntry
+	history map[ra.Key]prewarmEntry
 
 	// routed counts routing decisions by kind.
 	routed [3]atomic.Int64
@@ -382,8 +382,8 @@ func New(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec) (*Router, 
 	r := &Router{
 		schema:    schema,
 		spec:      spec,
-		decisions: cache.New(4096, 8),
-		history:   map[string]prewarmEntry{},
+		decisions: cache.NewHashed(4096, 8, ra.Key.Hash),
+		history:   map[ra.Key]prewarmEntry{},
 		sizes:     map[string]*atomic.Int64{},
 		demoting:  map[string]*atomic.Bool{},
 	}
@@ -548,12 +548,12 @@ func (r *Router) Parse(src string) (ra.Query, error) {
 // over the unpartitioned database — including while a Reshard or
 // Repartition is migrating rows.
 //
-// The analysis is amortized: the query is normalized and fingerprinted
-// once, the routing decision is cached under the fingerprint, the ring
-// epoch and the placement generation (sound: the fingerprint identifies
-// the canonical query including its constants, and routing depends only
-// on the query, the placement and the ring), and the fingerprint is
-// handed to the member engines so none of them repeats the work.
+// The analysis is amortized: the query is normalized and keyed
+// (ra.KeyOf) once, the routing decision is cached under the key, the ring
+// epoch and the placement generation (sound: the key identifies the
+// canonical query including its constants, and routing depends only on
+// the query, the placement and the ring), and the key is handed to the
+// member engines so none of them repeats the work.
 //
 // Read-your-writes: before touching any engine the router fences the
 // apply-queue lanes of exactly the broadcast relations the query reads
@@ -569,7 +569,7 @@ func (r *Router) Execute(q ra.Query, opts core.Options) (*exec.Table, *core.Repo
 	if err != nil {
 		return nil, nil, err
 	}
-	fp := ra.FingerprintNormalized(norm)
+	fp := ra.KeyOf(norm)
 	t, rep, err := r.execute(norm, fp, opts)
 	if errors.Is(err, errSchemaMoved) {
 		r.cmu.Lock()
@@ -580,7 +580,7 @@ func (r *Router) Execute(q ra.Query, opts core.Options) (*exec.Table, *core.Repo
 }
 
 // execute routes and answers one normalized query under the read fence.
-func (r *Router) execute(norm ra.Query, fp string, opts core.Options) (*exec.Table, *core.Report, error) {
+func (r *Router) execute(norm ra.Query, fp ra.Key, opts core.Options) (*exec.Table, *core.Report, error) {
 	r.rs.RLock()
 	defer r.rs.RUnlock()
 	st := r.state.Load()
@@ -614,7 +614,7 @@ func (r *Router) execute(norm ra.Query, fp string, opts core.Options) (*exec.Tab
 	return r.gather(norm, fp, opts, st.members)
 }
 
-// historyCap bounds the prewarm history; beyond it new fingerprints are
+// historyCap bounds the prewarm history; beyond it new query keys are
 // not recorded (the hottest queries are seen first, which is what
 // prewarming is for).
 const historyCap = 512
@@ -628,8 +628,8 @@ type prewarmEntry struct {
 }
 
 // remember records a query for Reshard's plan-cache prewarming. Called on
-// decision-cache misses only (first sighting per fingerprint and epoch).
-func (r *Router) remember(fp string, norm ra.Query, opts core.Options) {
+// decision-cache misses only (first sighting per query key and epoch).
+func (r *Router) remember(fp ra.Key, norm ra.Query, opts core.Options) {
 	r.hmu.Lock()
 	defer r.hmu.Unlock()
 	if _, ok := r.history[fp]; ok {
@@ -652,7 +652,7 @@ func (r *Router) prewarmFresh(fresh []*member) {
 		return
 	}
 	r.hmu.Lock()
-	entries := make(map[string]prewarmEntry, len(r.history))
+	entries := make(map[ra.Key]prewarmEntry, len(r.history))
 	for fp, e := range r.history {
 		entries[fp] = e
 	}
@@ -673,7 +673,7 @@ func (r *Router) prewarmFresh(fresh []*member) {
 // member per request.
 // On any member error the first error (in member order) is returned and
 // every sibling result is discarded.
-func (r *Router) gather(norm ra.Query, fp string, opts core.Options, members []*member) (*exec.Table, *core.Report, error) {
+func (r *Router) gather(norm ra.Query, fp ra.Key, opts core.Options, members []*member) (*exec.Table, *core.Report, error) {
 	start := time.Now()
 	tables := make([]*exec.Table, len(members))
 	reports := make([]*core.Report, len(members))
