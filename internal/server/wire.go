@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/value"
@@ -227,8 +227,8 @@ type ErrorResponse struct {
 }
 
 // wireValue adapts value.Value to its JSON wire form: Int ↔ JSON number,
-// Str ↔ JSON string, Null ↔ null. Decoding goes through json.Number so
-// 64-bit integers round-trip without float64 precision loss.
+// Str ↔ JSON string, Null ↔ null. Integers are parsed from their literal
+// text, so 64-bit values round-trip without float64 precision loss.
 type wireValue struct {
 	v value.Value
 }
@@ -245,29 +245,38 @@ func (w wireValue) MarshalJSON() ([]byte, error) {
 	}
 }
 
-// UnmarshalJSON decodes a JSON scalar into a value.Value.
+// UnmarshalJSON decodes a JSON scalar into a value.Value, dispatching on
+// the first byte of the literal encoding/json hands it (one syntactically
+// valid value, no surrounding space): null, a string (unescaped by
+// encoding/json), a boolean or composite (rejected), else a number, which
+// must be an integer literal in int64 range — 1e3, 1.0 and 2^63 are
+// rejected, as the data model has no floats.
 func (w *wireValue) UnmarshalJSON(b []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.UseNumber()
-	var raw any
-	if err := dec.Decode(&raw); err != nil {
-		return err
+	if len(b) == 0 {
+		return fmt.Errorf("server: empty value in tuple")
 	}
-	switch t := raw.(type) {
-	case nil:
+	switch b[0] {
+	case 'n':
+		if string(b) != "null" {
+			return fmt.Errorf("server: invalid value %q in tuple", b)
+		}
 		w.v = value.Value{}
-	case string:
-		w.v = value.NewStr(t)
-	case json.Number:
-		i, err := t.Int64()
+	case '"':
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		w.v = value.NewStr(s)
+	case 't', 'f':
+		return fmt.Errorf("server: boolean values are not part of the data model")
+	case '{', '[':
+		return fmt.Errorf("server: value must be a number, string or null, got %s", b[:1])
+	default:
+		i, err := strconv.ParseInt(string(b), 10, 64)
 		if err != nil {
-			return fmt.Errorf("server: non-integer number %q in tuple", t.String())
+			return fmt.Errorf("server: non-integer number %q in tuple", b)
 		}
 		w.v = value.NewInt(i)
-	case bool:
-		return fmt.Errorf("server: boolean values are not part of the data model")
-	default:
-		return fmt.Errorf("server: value must be a number, string or null, got %T", raw)
 	}
 	return nil
 }
