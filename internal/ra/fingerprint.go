@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"slices"
 	"strconv"
 	"strings"
@@ -91,7 +90,7 @@ func KeyOf(norm Query) Key {
 	c.canonicalize(norm)
 	c.buf = c.buf[:0]
 	c.serialize(0)
-	k := c.sum(c.buf)
+	k := Key(sha256.Sum256(c.buf))
 	putCanonizer(c)
 	return k
 }
@@ -197,8 +196,6 @@ type canonizer struct {
 	ufConst  []constRef
 
 	buf []byte
-	h   hash.Hash
-	out [sha256.Size]byte
 }
 
 // constRef attaches a constant to a union-find attribute.
@@ -207,7 +204,7 @@ type constRef struct {
 	v    value.Value
 }
 
-var canonizers = sync.Pool{New: func() any { return &canonizer{h: sha256.New()} }}
+var canonizers = sync.Pool{New: func() any { return new(canonizer) }}
 
 func getCanonizer() *canonizer { return canonizers.Get().(*canonizer) }
 
@@ -704,7 +701,7 @@ func (c *canonizer) digest(n int32) uint64 {
 	c.number(n)
 	mark := len(c.buf)
 	c.serialize(n)
-	k := c.sum(c.buf[mark:])
+	k := sha256.Sum256(c.buf[mark:])
 	c.buf = c.buf[:mark]
 	copy(c.kids[nd.kid:nd.kidEnd], c.saved[saved:])
 	c.saved = c.saved[:saved]
@@ -728,14 +725,6 @@ func (c *canonizer) numberFrom(n int32, seq *int32) {
 	for i := nd.kid; i < nd.kid+nd.nkid; i++ {
 		c.numberFrom(c.kids[i], seq)
 	}
-}
-
-func (c *canonizer) sum(b []byte) Key {
-	c.h.Reset()
-	c.h.Write(b)
-	var k Key
-	copy(k[:], c.h.Sum(c.out[:0]))
-	return k
 }
 
 // --- canonical predicates ---------------------------------------------------
