@@ -31,14 +31,37 @@ race:
 	$(GO) test -race -run 'TestFollowerCrashResume' -v ./internal/follower
 	$(GO) test -race -shuffle=on -run 'TestRecordsTailReadOpensOnlyFinalSegment|TestRecoverDBRejectsDuplicateLSN' -v ./internal/wal
 
-# gates runs the three budget gates the race step never runs: the files
-# are build-tagged !race (race instrumentation skews allocation counts), so
-# they need a plain go test, exactly as CI runs them.
+# gates runs the budget gates the race step never runs: the files are
+# build-tagged !race (race instrumentation skews allocation counts), so
+# they need a plain go test. CI calls this target.
+#
+# - Executor allocation gate: the batched executor must stay within a
+#   fixed per-evaluation allocation budget (48) on every operator-family
+#   micro-plan of 4096 rows, so one per-row allocation on any operator
+#   fails.
+# - View seeding access budget: materializing a flight lookup and an
+#   airlines-of-origin fan-out on AIRCA 1.0 must read at most the covering
+#   constraint's N tuples, scan none and stay inside a fixed allocation
+#   budget: a full scan creeping back into view construction fails here.
+# - Serving key allocation gate: ra.KeyOf must allocate nothing on every
+#   template of the three datasets, and a view-served Execute at most
+#   Normalize's allocations plus the Report: an fmt call or string key
+#   creeping back into the plan-cache, view or routing key fails here.
+# - Router allocation gate: on AIRCA over four shards with views warm, a
+#   view-served single-route Execute allocates at most Normalize's
+#   allocations + 1 and a view-served scatter Execute at most Normalize's
+#   + 16, and Ring.OwnerOf and the write-stripe pick allocate nothing: a
+#   per-member goroutine handoff or a string-built hash key fails here.
 gates:
 	$(GO) test -run 'TestExecAllocBudget' -v ./internal/exec
 	$(GO) test -run 'TestSeedAccessBudget' -v ./internal/ivm
 	$(GO) test -run 'TestKeyAllocBudget' -v ./internal/core
+	$(GO) test -run 'TestRouterAllocBudget' -v ./internal/shard
 
+# fuzz-smoke runs each fuzz target for 10 s: the parser round trip, the
+# canonicalization, the route decision differential, the residue plan
+# differential, the delta plan against re-execution, and the batched
+# executor against the tuple-at-a-time reference. CI calls this target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/parser
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/ra

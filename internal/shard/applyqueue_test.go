@@ -4,9 +4,7 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/value"
@@ -270,9 +268,9 @@ func TestKeyedReadMidCopy(t *testing.T) {
 	router.hookMigBatch = nil
 }
 
-// TestGatherFirstErrorPath pins gather's error contract under the worker
-// pools: when one shard errors mid-scatter, Execute returns that error
-// (first in member order), discards every sibling result, counts the
+// TestGatherFirstErrorPath pins gather's error contract: when one shard
+// errors mid-scatter, every member still executes, Execute returns that
+// error (first in member order), discards every sibling result, counts the
 // decision exactly once, and the router keeps serving afterwards.
 func TestGatherFirstErrorPath(t *testing.T) {
 	_, router, _ := buildPair(t, "AIRCA", 3)
@@ -312,8 +310,8 @@ func TestGatherFirstErrorPath(t *testing.T) {
 			t.Errorf("shard %d query counter %d → %d, want +1 (every member executed)", i, q0[i], got)
 		}
 	}
-	// The pools and the router survive the error: a keyed read on an
-	// unbroken shard still answers.
+	// The router survives the error: a keyed read on an unbroken shard
+	// still answers.
 	key := int64(-1)
 	for k := int64(0); k < 1000; k++ {
 		if router.ownerOf(value.NewInt(k)) != 1 {
@@ -330,85 +328,6 @@ func TestGatherFirstErrorPath(t *testing.T) {
 	}
 	if _, _, err := router.Execute(fb, core.DefaultOptions()); err != nil {
 		t.Fatalf("router stopped serving after a gather error: %v", err)
-	}
-}
-
-// TestReshardPrewarmsFreshEngines asserts the routing-aware prewarm: the
-// plan caches of engines created by a growing Reshard are compiled from
-// the router's query history before the flip, so they start warm.
-func TestReshardPrewarmsFreshEngines(t *testing.T) {
-	_, router, _ := buildPair(t, "AIRCA", 2)
-	for _, src := range []string{
-		`q(airline) :- ontime(f, 42, d, airline, m, delay)`,
-		`q(city) :- ontime(123, origin, dest, al, m, delay), airport(origin, city, st)`,
-		`q(cname) :- carrier(3, cname, country)`,
-	} {
-		q, err := router.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := router.Execute(q, core.DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := router.Reshard(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
-	members := router.state.Load().members
-	if len(members) != 4 {
-		t.Fatalf("expected 4 members after growth, got %d", len(members))
-	}
-	for i := 2; i < 4; i++ {
-		if got := members[i].eng.CacheStats().Entries; got < 3 {
-			t.Errorf("fresh shard %d has %d prewarmed plan-cache entries, want >= 3", i, got)
-		}
-	}
-	// A keyed repeat right after the flip hits a warm cache wherever the
-	// key now lives.
-	q, err := router.Parse(`q(airline) :- ontime(f, 42, d, airline, m, delay)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := router.Execute(q, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.CacheHit {
-		t.Error("first keyed repeat after growth missed the plan cache despite prewarming")
-	}
-}
-
-// TestWorkerPoolBoundsConcurrency pins the pool contract: at most limit
-// tasks run on pool workers at once, plus the submitter itself when the
-// queue overflows into inline execution.
-func TestWorkerPoolBoundsConcurrency(t *testing.T) {
-	const limit = 2
-	p := newWorkerPool(limit)
-	var running, maxRunning atomic.Int32
-	var wg sync.WaitGroup
-	const tasks = 40
-	for i := 0; i < tasks; i++ {
-		wg.Add(1)
-		p.submit(func() {
-			defer wg.Done()
-			n := running.Add(1)
-			for {
-				m := maxRunning.Load()
-				if n <= m || maxRunning.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-		})
-	}
-	wg.Wait()
-	// limit pool workers + the submitting goroutine's inline overflow.
-	if got := maxRunning.Load(); got > limit+1 {
-		t.Errorf("observed %d concurrent tasks, want <= %d", got, limit+1)
-	}
-	if p.active.Load() != 0 {
-		t.Errorf("%d workers still resident after drain", p.active.Load())
 	}
 }
 

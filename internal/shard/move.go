@@ -311,9 +311,6 @@ func (r *Router) Reshard(ctx context.Context, targetN int) (*ReshardReport, erro
 	mv := r.newMove(old, assignment{st: next, ps: old.ps})
 	r.begin(mv)
 	r.cmu.Unlock()
-	// Compile the recently routed queries into the fresh engines' plan
-	// caches; they receive no query before the flip.
-	r.prewarmFresh(next.members[min(oldN, targetN):])
 	if err := r.run(ctx, mv); err != nil {
 		return nil, err
 	}
@@ -346,7 +343,7 @@ func (r *Router) resized(st *ringState, n int) (*ringState, error) {
 		if cfg := r.ivmCfg.Load(); cfg != nil {
 			eng.SetIVMConfig(*cfg)
 		}
-		next.members[i] = newMember(eng)
+		next.members[i] = &member{eng: eng}
 	}
 	return next, nil
 }

@@ -70,7 +70,7 @@ func NewRing(n, vnodes int) *Ring {
 	for s := 0; s < n; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				h:     mix64(hashKey(fmt.Sprintf("shard/%d/vnode/%d", s, v))),
+				h:     mix64(hashKey(fmt.Appendf(nil, "shard/%d/vnode/%d", s, v))),
 				shard: s,
 			})
 		}
@@ -104,7 +104,9 @@ func (r *Ring) Owner(h uint64) int {
 
 // OwnerOf returns the shard owning partition-key value v. The same value
 // owns the same shard regardless of which relation carries it, so
-// co-partitioned joins stay shard-local.
+// co-partitioned joins stay shard-local. The value is encoded into a stack
+// buffer, so placing a key allocates nothing.
 func (r *Ring) OwnerOf(v value.Value) int {
-	return r.Owner(mix64(hashKey(value.Tuple{v}.Key())))
+	var buf [64]byte
+	return r.Owner(mix64(hashKey(value.AppendKey(buf[:0], v))))
 }

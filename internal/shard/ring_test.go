@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -83,5 +86,56 @@ func TestRingDeterminism(t *testing.T) {
 	}
 	if a.Shards() != 5 || a.Vnodes() != 64 {
 		t.Fatalf("ring reports Shards=%d Vnodes=%d", a.Shards(), a.Vnodes())
+	}
+}
+
+// TestOwnerOfMatchesStringHash pins placement across the allocation-free
+// hash: the ring's virtual nodes, OwnerOf and stripeOf must agree bit for
+// bit with the string-keyed formulas they replaced — FNV-1a over
+// Tuple.Key(), fmt.Sprintf vnode names and rel+"\x00"+Tuple.Key() stripes
+// — or rows placed before a restart would be looked for on the wrong
+// shard.
+func TestOwnerOfMatchesStringHash(t *testing.T) {
+	fnvString := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return h.Sum64()
+	}
+	vals := ringKeys(2000)
+	for _, s := range []string{"", "a", "nyc", "O'Hare", "δ-shard", strings.Repeat("long key ", 12)} {
+		vals = append(vals, value.NewStr(s))
+	}
+	vals = append(vals, value.NewInt(-1), value.NewInt(1<<62))
+	for _, n := range []int{1, 2, 4, 7} {
+		ring := NewRing(n, 64)
+		legacy := map[uint64]int{}
+		for s := 0; s < n; s++ {
+			for v := 0; v < 64; v++ {
+				legacy[mix64(fnvString(fmt.Sprintf("shard/%d/vnode/%d", s, v)))] = s
+			}
+		}
+		if len(ring.points) != len(legacy) {
+			t.Fatalf("N=%d: %d ring points, %d string-hashed vnodes", n, len(ring.points), len(legacy))
+		}
+		for _, p := range ring.points {
+			if s, ok := legacy[p.h]; !ok || s != p.shard {
+				t.Fatalf("N=%d: ring point %x (shard %d) is not a string-hashed vnode of its shard", n, p.h, p.shard)
+			}
+		}
+		for _, v := range vals {
+			want := ring.Owner(mix64(fnvString(value.Tuple{v}.Key())))
+			if got := ring.OwnerOf(v); got != want {
+				t.Fatalf("N=%d: OwnerOf(%v) = %d, string formula = %d", n, v, got, want)
+			}
+		}
+	}
+	for i, v := range vals {
+		tup := value.Tuple{v, value.NewInt(int64(i)), value.NewStr("x")}
+		for _, rel := range []string{"ontime", "carrier"} {
+			want := fnvString(rel+"\x00"+tup.Key()) % wstripes
+			if got := stripeOf(rel, tup); got != want {
+				t.Fatalf("stripeOf(%s, %v) = %d, string formula = %d", rel, tup, got, want)
+			}
+		}
 	}
 }

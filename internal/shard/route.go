@@ -54,9 +54,10 @@ type decision struct {
 	pgen  uint64
 }
 
-// route analyzes a normalized query against a ring over n members and a
-// placement assignment, and picks the cheapest exact strategy.
-func (r *Router) route(norm ra.Query, ring *Ring, n int, ps *partState) decision {
+// route analyzes a normalized query, whose canonical key is fp, against a
+// ring over n members and a placement assignment, and picks the cheapest
+// exact strategy.
+func (r *Router) route(norm ra.Query, fp ra.Key, ring *Ring, n int, ps *partState) decision {
 	var parts []ra.Attr // partition-key attribute of each partitioned occurrence
 	var brels []string  // broadcast relations read (deduplicated)
 	seenB := map[string]bool{}
@@ -70,9 +71,9 @@ func (r *Router) route(norm ra.Query, ring *Ring, n int, ps *partState) decision
 	}
 	if len(parts) == 0 {
 		// Only broadcast relations: any shard holds all the data. Pick
-		// one by structural hash so repeats of the same query reuse the
-		// same shard's plan cache.
-		return decision{kind: routeSingle, shard: int(structHash(norm) % uint64(n)), brels: brels}
+		// one by the canonical key so repeats of the same query reuse the
+		// same shard's plan cache and views.
+		return decision{kind: routeSingle, shard: int(fp.Hash() % uint64(n)), brels: brels}
 	}
 	cl := collectClasses(norm)
 	// Covered-access fast path: every partitioned occurrence pins its
@@ -265,45 +266,4 @@ func (cl *classes) bind(a ra.Attr, c value.Value) {
 func (cl *classes) constOf(a ra.Attr) (value.Value, bool) {
 	c, ok := cl.consts[cl.find(a)]
 	return c, ok
-}
-
-// structHash digests the structure of a normalized query for shard
-// affinity of unpartitioned queries: node kinds, relation bases, and
-// predicate content. Collisions only co-locate two queries on a shard;
-// they never affect correctness.
-func structHash(q ra.Query) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-		h ^= 0xff
-		h *= prime
-	}
-	ra.Walk(q, func(n ra.Query) {
-		switch t := n.(type) {
-		case *ra.Relation:
-			mix("R")
-			mix(t.Base)
-		case *ra.Select:
-			mix("S")
-			for _, p := range t.Preds {
-				mix(p.String())
-			}
-		case *ra.Project:
-			mix("P")
-			for _, a := range t.Attrs {
-				mix(a.Name)
-			}
-		case *ra.Product:
-			mix("X")
-		case *ra.Union:
-			mix("U")
-		case *ra.Diff:
-			mix("D")
-		}
-	})
-	return h
 }

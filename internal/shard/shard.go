@@ -33,19 +33,22 @@
 // For every query the router picks the cheapest correct strategy:
 //
 //   - single-shard fast path: if the query touches no partitioned
-//     relation, any shard can answer it (the router picks one by query
-//     hash, keeping each shard's plan cache hot on its own residents).
+//     relation, any shard can answer it (the router picks one by the
+//     query's canonical key, keeping each shard's plan cache hot on its
+//     own residents).
 //     If every partitioned occurrence binds its partition key to a
 //     constant — the covered-access case, where the indexed atoms of the
 //     query pin the key — and all constants hash to the same shard, that
 //     shard alone holds every relevant tuple and answers exactly.
 //   - scatter/gather: when the query's shape distributes over the
-//     partitioning (see route.go for the analysis), all shards execute it
-//     concurrently and the router merges rows (set union), access counts
-//     (sums) and boundedness verdicts (conjunction). Bounded plans make
-//     scatter cheap: on shards that hold no matching slice of the
+//     partitioning (see route.go for the analysis), every shard executes
+//     it, one after another on the caller's goroutine, and the router
+//     merges rows (set union), access counts (sums) and coverage,
+//     boundedness, cache and view verdicts (conjunction). Bounded plans
+//     make scatter cheap: on shards that hold no matching slice of the
 //     partitioned relation, the plan's first fetch comes back empty and
-//     the execution finishes in microseconds.
+//     the execution finishes in microseconds — less than handing it to
+//     another goroutine would cost.
 //   - residue: queries that neither fast-path nor distribute as a whole
 //     (e.g. a difference whose right side reads a partitioned relation
 //     without binding its key, or a join of two partitioned relations off
@@ -78,7 +81,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
@@ -204,21 +206,13 @@ func deriveKey(schema ra.Schema, A *access.Schema, rel string) (string, bool) {
 // is moving.
 const wstripes = 256
 
-// member is one shard engine plus its router-side execution counter and
-// its bounded gather worker pool. Members are identified by pointer: a
-// Reshard that grows the cluster keeps the surviving members and appends
-// fresh ones, so counters carry across ring changes.
+// member is one shard engine plus its router-side execution counter.
+// Members are identified by pointer: a Reshard that grows the cluster
+// keeps the surviving members and appends fresh ones, so counters carry
+// across ring changes.
 type member struct {
 	eng     *core.Engine
 	queries atomic.Int64
-	// pool bounds this member's concurrent gather executions (pool.go); a
-	// member dropped by a shrink simply stops receiving tasks.
-	pool *workerPool
-}
-
-// newMember wraps an engine as a cluster member with its worker pool.
-func newMember(eng *core.Engine) *member {
-	return &member{eng: eng, pool: newWorkerPool(gatherWorkers())}
 }
 
 // ringState is the immutable routing view swapped atomically at each ring
@@ -313,14 +307,6 @@ type Router struct {
 	// burst of inserts starts one Repartition.
 	demoting map[string]*atomic.Bool
 
-	// hmu guards history: the normalized form and options of recently
-	// routed queries, keyed by canonical query key. Reshard growth replays it
-	// against fresh engines to prewarm their plan caches before the flip.
-	// Bounded at historyCap; recorded only on decision-cache misses, so
-	// the hot path never touches it.
-	hmu     sync.Mutex
-	history map[ra.Key]prewarmEntry
-
 	// routed counts routing decisions by kind.
 	routed [3]atomic.Int64
 
@@ -383,7 +369,6 @@ func New(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec) (*Router, 
 		schema:    schema,
 		spec:      spec,
 		decisions: cache.NewHashed(4096, 8, ra.Key.Hash),
-		history:   map[ra.Key]prewarmEntry{},
 		sizes:     map[string]*atomic.Int64{},
 		demoting:  map[string]*atomic.Bool{},
 	}
@@ -422,7 +407,7 @@ func New(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec) (*Router, 
 		if err != nil {
 			return nil, err
 		}
-		members[i] = newMember(eng)
+		members[i] = &member{eng: eng}
 	}
 	r.aq = newApplyQueue(schema, nil)
 	r.state.Store(&ringState{epoch: 1, ring: ring, members: members})
@@ -491,14 +476,18 @@ func OpenDurable(schema ra.Schema, A *access.Schema, db *store.DB, spec Spec, cf
 // Router implements core.Service.
 var _ core.Service = (*Router)(nil)
 
-// hashKey hashes a canonical byte encoding to a shard-selection value.
-// The same function is used for every relation, so equal key values land
-// on the same shard regardless of which relation carries them — the
-// property co-partitioned joins rely on.
-func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// hashKey hashes a canonical byte encoding to a shard-selection value
+// (64-bit FNV-1a, computed inline so that hashing allocates nothing). The
+// same function is used for every relation, so equal key values land on
+// the same shard regardless of which relation carries them — the property
+// co-partitioned joins rely on.
+func hashKey(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // anchor returns member 0's engine — the member that survives every
@@ -589,13 +578,10 @@ func (r *Router) execute(norm ra.Query, fp ra.Key, opts core.Options) (*exec.Tab
 	if v, ok := r.decisions.Get(fp); ok && v.(decision).epoch == st.epoch && v.(decision).pgen == ps.gen {
 		dec = v.(decision)
 	} else {
-		dec = r.route(norm, st.ring, len(st.members), ps)
+		dec = r.route(norm, fp, st.ring, len(st.members), ps)
 		dec.epoch = st.epoch
 		dec.pgen = ps.gen
 		r.decisions.Put(fp, dec)
-		if opts.Cache {
-			r.remember(fp, norm, opts)
-		}
 	}
 	for _, rel := range dec.brels {
 		r.aq.fenceRel(rel)
@@ -614,90 +600,28 @@ func (r *Router) execute(norm ra.Query, fp ra.Key, opts core.Options) (*exec.Tab
 	return r.gather(norm, fp, opts, st.members)
 }
 
-// historyCap bounds the prewarm history; beyond it new query keys are
-// not recorded (the hottest queries are seen first, which is what
-// prewarming is for).
-const historyCap = 512
-
-// prewarmEntry is one remembered query: its normalized form plus the
-// analysis-shaping options it ran under, enough to recompile it on a
-// fresh engine.
-type prewarmEntry struct {
-	norm              ra.Query
-	minimize, rewrite bool
-}
-
-// remember records a query for Reshard's plan-cache prewarming. Called on
-// decision-cache misses only (first sighting per query key and epoch).
-func (r *Router) remember(fp ra.Key, norm ra.Query, opts core.Options) {
-	r.hmu.Lock()
-	defer r.hmu.Unlock()
-	if _, ok := r.history[fp]; ok {
-		return
-	}
-	if len(r.history) >= historyCap {
-		return
-	}
-	r.history[fp] = prewarmEntry{norm: norm, minimize: opts.Minimize, rewrite: opts.Rewrite}
-}
-
-// prewarmFresh compiles the remembered query history into the plan caches
-// of engines a growing Reshard has just built, before they can receive
-// traffic: compilation is data-independent, so the fresh engines start
-// with the same hot set the surviving members already cached instead of
-// paying a cold compile per query after the flip. Best effort — a query
-// that no longer compiles is skipped.
-func (r *Router) prewarmFresh(fresh []*member) {
-	if len(fresh) == 0 {
-		return
-	}
-	r.hmu.Lock()
-	entries := make(map[ra.Key]prewarmEntry, len(r.history))
-	for fp, e := range r.history {
-		entries[fp] = e
-	}
-	r.hmu.Unlock()
-	for _, m := range fresh {
-		for fp, e := range entries {
-			opts := core.Options{Cache: true, Minimize: e.minimize, Rewrite: e.rewrite}
-			_, _ = m.eng.Analyze(e.norm, fp, opts)
-		}
-	}
-}
-
-// gather executes norm on every given member concurrently and merges the
-// results: rows by set union, access counts by summation, coverage and
-// boundedness verdicts by conjunction. Per-shard executions run on each
-// member's bounded worker pool (pool.go), so concurrent gathers share
-// shards × GOMAXPROCS execution goroutines instead of spawning one per
-// member per request.
-// On any member error the first error (in member order) is returned and
-// every sibling result is discarded.
+// gather executes norm on every given member in member order, on the
+// caller's goroutine, and merges the results: rows by set union, access
+// counts by summation, coverage, boundedness, cache and view verdicts by
+// conjunction. A scatter read of a bounded plan costs microseconds per
+// member, less than a goroutine handoff, so the members are not read in
+// parallel. Every member runs even after one fails; the first error in
+// member order is returned and every sibling result is discarded.
 func (r *Router) gather(norm ra.Query, fp ra.Key, opts core.Options, members []*member) (*exec.Table, *core.Report, error) {
 	start := time.Now()
 	tables := make([]*exec.Table, len(members))
 	reports := make([]*core.Report, len(members))
-	errs := make([]error, len(members))
-	if len(members) == 1 {
-		members[0].queries.Add(1)
-		tables[0], reports[0], errs[0] = members[0].eng.ExecuteNormalized(norm, fp, opts)
-	} else {
-		var wg sync.WaitGroup
-		for i := range members {
-			i := i
-			wg.Add(1)
-			members[i].pool.submit(func() {
-				defer wg.Done()
-				members[i].queries.Add(1)
-				tables[i], reports[i], errs[i] = members[i].eng.ExecuteNormalized(norm, fp, opts)
-			})
+	var first error
+	for i, m := range members {
+		m.queries.Add(1)
+		var err error
+		tables[i], reports[i], err = m.eng.ExecuteNormalized(norm, fp, opts)
+		if first == nil {
+			first = err
 		}
-		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if first != nil {
+		return nil, nil, first
 	}
 	out := exec.UnionTables(tables[0].Cols, tables...)
 	rep := *reports[0]
@@ -705,6 +629,7 @@ func (r *Router) gather(norm ra.Query, fp ra.Key, opts core.Options, members []*
 		rep.Covered = rep.Covered && sub.Covered
 		rep.Bounded = rep.Bounded && sub.Bounded
 		rep.CacheHit = rep.CacheHit && sub.CacheHit
+		rep.Materialized = rep.Materialized && sub.Materialized
 		rep.Stats.Accessed += sub.Stats.Accessed
 		rep.Stats.Fetched += sub.Stats.Fetched
 		rep.Stats.Scanned += sub.Stats.Scanned
@@ -725,9 +650,16 @@ func (r *Router) gather(norm ra.Query, fp ra.Key, opts core.Options, members []*
 	return out, &rep, nil
 }
 
-// stripeOf picks the write-ordering stripe for one tuple.
+// stripeOf picks the write-ordering stripe for one tuple. The key is
+// encoded into a stack buffer so that picking a stripe allocates nothing.
 func stripeOf(rel string, t value.Tuple) uint64 {
-	return hashKey(rel+"\x00"+t.Key()) % wstripes
+	var buf [128]byte
+	b := append(buf[:0], rel...)
+	b = append(b, 0)
+	for _, v := range t {
+		b = value.AppendKey(b, v)
+	}
+	return hashKey(b) % wstripes
 }
 
 // Insert adds a tuple to the cluster: synchronously to the owning shard
@@ -1204,7 +1136,7 @@ func (r *Router) RouteKind(q ra.Query) (string, error) {
 		return "", err
 	}
 	st := r.state.Load()
-	dec := r.route(norm, st.ring, len(st.members), r.part.Load())
+	dec := r.route(norm, ra.KeyOf(norm), st.ring, len(st.members), r.part.Load())
 	switch dec.kind {
 	case routeSingle:
 		return "single", nil

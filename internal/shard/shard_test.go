@@ -178,7 +178,7 @@ func TestRoutingStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec := router.route(norm, st.ring, len(st.members), router.part.Load()); dec.kind != tc.kind {
+		if dec := router.route(norm, ra.KeyOf(norm), st.ring, len(st.members), router.part.Load()); dec.kind != tc.kind {
 			t.Errorf("route(%q) = %v, want %v", tc.src, dec.kind, tc.kind)
 		}
 	}
@@ -191,7 +191,7 @@ func TestRoutingStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := router.route(norm, st.ring, len(st.members), router.part.Load())
+	dec := router.route(norm, ra.KeyOf(norm), st.ring, len(st.members), router.part.Load())
 	if dec.kind != routeSingle {
 		t.Fatalf("origin-bound query did not fast-path: %v", dec.kind)
 	}
@@ -512,5 +512,58 @@ func TestConcurrentConstraintMutations(t *testing.T) {
 		if got := m.eng.AccessSnapshot().Len(); got != want {
 			t.Errorf("shard %d has %d constraints, router reports %d", i, got, want)
 		}
+	}
+}
+
+// TestScatterMaterializedVerdict pins gather's view verdict on every
+// scatter template of the three datasets: a scatter answer is Materialized
+// exactly when every member served it from a view (the AND of the members'
+// verdicts, read from their view-hit counters), so a materialized report
+// never carries the Stats of a plan some member ran. Repeats walk each
+// member through view admission at its own pace, which is where the
+// verdicts of the members disagree.
+func TestScatterMaterializedVerdict(t *testing.T) {
+	for _, d := range workload.All() {
+		t.Run(d.Name, func(t *testing.T) {
+			_, router, _ := buildPair(t, d.Name, 4)
+			opts := core.DefaultOptions()
+			scattered := 0
+			for _, tpl := range d.Templates() {
+				q, err := router.Parse(tpl.Src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind, err := router.RouteKind(q); err != nil || kind != "scatter" {
+					continue
+				}
+				scattered++
+				members := router.state.Load().members
+				hits := make([]int64, len(members))
+				for i := 0; i < 40; i++ {
+					for j, m := range members {
+						hits[j] = m.eng.IVMStats().Hits
+					}
+					_, rep, err := router.Execute(q, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", tpl.Name, err)
+					}
+					all := true
+					for j, m := range members {
+						all = all && m.eng.IVMStats().Hits == hits[j]+1
+					}
+					if rep.Materialized != all {
+						t.Errorf("%s repeat %d: Materialized=%v, members' verdicts AND to %v",
+							tpl.Name, i, rep.Materialized, all)
+					}
+					if rep.Materialized && (rep.Stats.Accessed != 0 || rep.Stats.Scanned != 0) {
+						t.Errorf("%s repeat %d: Materialized with Stats.Accessed=%d Scanned=%d, want 0",
+							tpl.Name, i, rep.Stats.Accessed, rep.Stats.Scanned)
+					}
+				}
+			}
+			if scattered == 0 {
+				t.Fatal("no template routed scatter: the test checked nothing")
+			}
+		})
 	}
 }
