@@ -52,19 +52,27 @@ race:
 #   allocations + 1 and a view-served scatter Execute at most Normalize's
 #   + 16, and Ring.OwnerOf and the write-stripe pick allocate nothing: a
 #   per-member goroutine handoff or a string-built hash key fails here.
+# - Compile allocation gate: a cold Execute of each AIRCA ad-hoc shape
+#   (single atom, delaycause join, airport join, UNION, EXCEPT) with fresh
+#   constants stays within its measured allocations plus about 10%, and
+#   the prepared cover check's per-subset Covers allocates nothing: a
+#   repeated full coverage check, a per-trial schema copy or an fmt label
+#   creeping back into the compile fails here.
 gates:
 	$(GO) test -run 'TestExecAllocBudget' -v ./internal/exec
 	$(GO) test -run 'TestSeedAccessBudget' -v ./internal/ivm
-	$(GO) test -run 'TestKeyAllocBudget' -v ./internal/core
+	$(GO) test -run 'TestKeyAllocBudget|TestCompileAllocBudget' -v ./internal/core
 	$(GO) test -run 'TestRouterAllocBudget' -v ./internal/shard
 
 # fuzz-smoke runs each fuzz target for 10 s: the parser round trip, the
-# canonicalization, the route decision differential, the residue plan
-# differential, the delta plan against re-execution, and the batched
-# executor against the tuple-at-a-time reference. CI calls this target.
+# canonicalization, the prepared cover check against the one-pass oracle,
+# the route decision differential, the residue plan differential, the
+# delta plan against re-execution, and the batched executor against the
+# tuple-at-a-time reference. CI calls this target.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=10s ./internal/parser
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/ra
+	$(GO) test -run=^$$ -fuzz=FuzzPreparedCheck -fuzztime=10s ./internal/cover
 	$(GO) test -run=^$$ -fuzz=FuzzRouteDecision -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzResiduePlan -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaPlan -fuzztime=10s ./internal/ivm

@@ -13,6 +13,7 @@
 package bounded_test
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -350,6 +351,70 @@ func BenchmarkExecuteCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := eng.Execute(q, opts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColdExecute prices the cold compile the engine-adhoc workload
+// pays on every read: AIRCA at scale 0.05, the ad-hoc shapes (a single
+// atom, a delaycause join, an airport join, a UNION and an EXCEPT) in
+// turn, each op with constants no earlier op used, so every Execute runs
+// CovChk, minA and QPlan before its plan.
+func BenchmarkColdExecute(b *testing.B) {
+	d := workload.Airca()
+	db, err := d.Gen(0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := bounded.NewEngine(d.Schema, d.Access, db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flights, err := db.Rows("ontime")
+	if err != nil {
+		b.Fatal(err)
+	}
+	causes, err := db.Rows("delaycause")
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes := []string{
+		`q(origin, dest, airline, month, delay) :- ontime(%[1]d, origin, dest, airline, month, delay)`,
+		`q(origin, dest, mins) :- ontime(%[1]d, origin, dest, al, m, delay), delaycause(%[1]d, %[2]d, mins)`,
+		`q(city, st) :- ontime(%[1]d, origin, dest, al, m, delay), airport(origin, city, st)`,
+		`(q(dest) :- ontime(%[1]d, o, dest, al, m, dl)) UNION (q(dest) :- ontime(%[2]d, o2, dest, al2, m2, dl2))`,
+		`(q(o, d) :- ontime(%[1]d, o, d, al, m, dl)) EXCEPT (q(o, d) :- ontime(%[2]d, o, d, al2, m2, dl2))`,
+	}
+	// Distinct constants for every op: the k-th use of a shape takes the
+	// k-th flight (and its successor, or its delaycause row). When the ops
+	// outnumber the distinct queries, the plan cache is purged before the
+	// queries repeat, so every op still compiles cold.
+	n := min(len(flights)-1, len(causes))
+	qs := make([]bounded.Query, 0, n*len(shapes))
+	for k := 0; k < n; k++ {
+		for si, text := range shapes {
+			a, c := flights[k][0].I, flights[k+1][0].I
+			if si == 1 {
+				a, c = causes[k][0].I, causes[k][1].I
+			}
+			q, err := eng.Parse(fmt.Sprintf(text, a, c))
+			if err != nil {
+				b.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+	}
+	opts := bounded.DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(qs) == 0 {
+			b.StopTimer()
+			eng.InvalidatePlans()
+			b.StartTimer()
+		}
+		if _, rep, err := eng.Execute(qs[i%len(qs)], opts); err != nil || rep.CacheHit {
+			b.Fatalf("op %d: err %v, cache hit %v", i, err, rep != nil && rep.CacheHit)
 		}
 	}
 }

@@ -204,15 +204,31 @@ func (s *Schema) String() string {
 // constraint S(X→Y,N) per occurrence S renaming R in q. The result maps
 // occurrence names; Base tracks provenance back to A.
 func (s *Schema) Actualize(q ra.Query) *Actualized {
-	act := &Actualized{ByRel: map[string][]ActualConstraint{}}
-	for _, occ := range ra.Relations(q) {
-		for _, c := range s.ForRel(occ.Base) {
-			ac := ActualConstraint{
-				Constraint: Constraint{Rel: occ.Name, X: c.X, Y: c.Y, N: c.N},
-				Base:       c,
+	occs := ra.Relations(q)
+	act := &Actualized{ByRel: make(map[string][]ActualConstraint, len(occs))}
+	n := 0
+	for _, occ := range occs {
+		for _, c := range s.Constraints {
+			if c.Rel == occ.Base {
+				n++
 			}
-			act.ByRel[occ.Name] = append(act.ByRel[occ.Name], ac)
-			act.All = append(act.All, ac)
+		}
+	}
+	if n > 0 {
+		act.All = make([]ActualConstraint, 0, n)
+	}
+	for _, occ := range occs {
+		start := len(act.All)
+		for _, c := range s.Constraints {
+			if c.Rel == occ.Base {
+				act.All = append(act.All, ActualConstraint{
+					Constraint: Constraint{Rel: occ.Name, X: c.X, Y: c.Y, N: c.N},
+					Base:       c,
+				})
+			}
+		}
+		if len(act.All) > start {
+			act.ByRel[occ.Name] = append(act.ByRel[occ.Name], act.All[start:]...)
 		}
 	}
 	return act

@@ -279,7 +279,11 @@ type Report struct {
 	// was executed and Stats is zero.
 	Materialized bool
 	// CheckTime, PlanTime, MinimizeTime are the analysis latencies
-	// (the Exp-2 measurements).
+	// (the Exp-2 measurements). CheckTime is CovChk over the whole access
+	// schema: preparing the query side and checking the full schema.
+	// MinimizeTime is minA's trials over the prepared query plus the
+	// check of the minimized schema that plan generation then reads.
+	// PlanTime is QPlan alone.
 	CheckTime, PlanTime, MinimizeTime time.Duration
 	// Version is the engine's access-schema generation the execution ran
 	// under, read while the engine lock was held — unlike Engine.Version,
@@ -489,19 +493,12 @@ func (e *Engine) compile(norm ra.Query, opts Options, rep *Report) (*compiled, e
 
 	if opts.Minimize {
 		t1 := time.Now()
-		am, err := minimize.MinA(res, minimize.DefaultOptions())
+		res, err = minimize.Minimize(res, minimize.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
 		rep.MinimizeTime = time.Since(t1)
-		c.minimized = am
-		res, err = cover.Check(c.norm, e.schema, am)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Covered {
-			return nil, fmt.Errorf("core: minimized schema no longer covers the query")
-		}
+		c.minimized = res.Access
 	}
 
 	t2 := time.Now()
@@ -553,21 +550,23 @@ func (e *Engine) ExecuteBaseline(q ra.Query) (*exec.Table, exec.Stats, error) {
 	return exec.RunBaseline(norm, e.schema, e.db)
 }
 
-// SQL translates q's bounded plan into a SQL query over the index
-// relations (Plan2SQL). The query must be covered.
+// SQL translates into a SQL query over the index relations (Plan2SQL) the
+// bounded plan Execute runs for q under DefaultOptions: after rewriting
+// and minimization, shared with Execute through the plan cache. The query
+// must be covered.
 func (e *Engine) SQL(q ra.Query) (string, error) {
-	res, err := e.Check(q)
+	norm, err := ra.Normalize(q, e.schema)
 	if err != nil {
 		return "", err
 	}
-	if !res.Covered {
+	rep, err := e.Analyze(norm, ra.Key{}, DefaultOptions())
+	if err != nil {
+		return "", err
+	}
+	if !rep.Covered {
 		return "", fmt.Errorf("core: query is not covered; no bounded SQL exists")
 	}
-	p, err := plan.Build(res)
-	if err != nil {
-		return "", err
-	}
-	return sqlgen.ToSQL(p)
+	return sqlgen.ToSQL(rep.Plan)
 }
 
 // Discover mines additional access constraints from the current instance

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/discovery"
+	"repro/internal/parser"
 	"repro/internal/ra"
+	"repro/internal/sqlgen"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -242,5 +244,58 @@ func TestExecuteEmptyAnswer(t *testing.T) {
 	}
 	if !rep.Bounded {
 		t.Error("empty-answer query should still be bounded")
+	}
+}
+
+// TestSQLMatchesExecutedPlan: SQL translates the plan Execute runs under
+// DefaultOptions, the minimized one, on every bounded template of the
+// three datasets. SQL is asked on one engine and Execute on another over
+// the same data, so neither reads the other's cached plan.
+func TestSQLMatchesExecutedPlan(t *testing.T) {
+	for _, d := range workload.All() {
+		t.Run(d.Name, func(t *testing.T) {
+			engines := [2]*Engine{}
+			for i := range engines {
+				db, err := d.Gen(0.02, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if engines[i], err = NewEngine(d.Schema, d.Access, db); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bounded := 0
+			for _, tmpl := range d.Templates() {
+				q, err := parser.Parse(tmpl.Src, d.Schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rep, err := engines[1].Execute(q, DefaultOptions())
+				if err != nil {
+					t.Fatalf("%s: %v", tmpl.Name, err)
+				}
+				sql, err := engines[0].SQL(q)
+				if !rep.Bounded {
+					if err == nil {
+						t.Errorf("%s: SQL for a query Execute does not bound", tmpl.Name)
+					}
+					continue
+				}
+				bounded++
+				if err != nil {
+					t.Fatalf("%s: %v", tmpl.Name, err)
+				}
+				want, err := sqlgen.ToSQL(rep.Plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sql != want {
+					t.Errorf("%s: SQL differs from the executed plan's:\n%s\nvs\n%s", tmpl.Name, sql, want)
+				}
+			}
+			if bounded == 0 {
+				t.Fatal("no bounded template")
+			}
+		})
 	}
 }

@@ -3,6 +3,16 @@
 // max SPC sub-query of Q is both fetchable via A (Lemma 4: ΣQs,A ⊨ X̂C → X̂Qs)
 // and indexed by A. Covered queries are the paper's effective syntax for
 // boundedly evaluable RA queries (Theorem 2).
+//
+// CovChk runs in two halves. Prepare does the query side once: validation,
+// the max SPC sub-queries, the actualized schema A', the equality classes
+// of each sub-query under dense int ids, and every induced FD over those
+// ids tagged with its constraint's index in A. A subset of A is then a
+// Mask, and checking it is a counting closure over class ids:
+// Prepared.Covers answers the verdict and |cov(Q,A)| without allocating
+// (what minA's greedy trials ask), and Prepared.Result builds the full
+// Result a check of that subset returns. Check is Prepare followed by
+// Result over the whole of A.
 package cover
 
 import (
@@ -51,138 +61,36 @@ type Result struct {
 	Covered   bool
 	Fetchable bool
 	Indexed   bool
+
+	// prep is the prepared query this analysis was built from and mask the
+	// subset of prep's access schema it checked (Access).
+	prep *Prepared
+	mask Mask
 }
 
-// Check runs algorithm CovChk on normalized query q under access schema A.
+// Check runs algorithm CovChk on normalized query q under access schema A:
+// Prepare, then the per-subset check over the whole of A.
 func Check(q ra.Query, s ra.Schema, A *access.Schema) (*Result, error) {
-	if err := ra.Validate(q, s); err != nil {
-		return nil, err
-	}
-	subsSPC, err := ra.MaxSPC(q, s)
+	p, err := Prepare(q, s, A)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Query:     q,
-		Schema:    s,
-		Access:    A,
-		Act:       A.Actualize(q),
-		Covered:   true,
-		Fetchable: true,
-		Indexed:   true,
-	}
-	for _, spc := range subsSPC {
-		sub, err := checkSub(spc, s, res.Act)
-		if err != nil {
-			return nil, err
-		}
-		res.Subs = append(res.Subs, sub)
-		res.Fetchable = res.Fetchable && sub.Fetchable
-		res.Indexed = res.Indexed && sub.Indexed
-	}
-	res.Covered = res.Fetchable && res.Indexed
-	return res, nil
+	return p.Result(p.full), nil
 }
 
-func checkSub(spc *ra.SPC, s ra.Schema, act *access.Actualized) (*Sub, error) {
-	// Register every attribute of every occurrence, not only XQs: induced
-	// FDs range over all attributes of the occurrences (their X sides may
-	// use attributes outside XQs).
-	var all []ra.Attr
-	for _, rel := range spc.Rels {
-		names, err := s.Attrs(rel.Base)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range names {
-			all = append(all, ra.Attr{Rel: rel.Name, Name: n})
-		}
+// Prepared returns the prepared query the analysis was built from and the
+// subset of its access schema the analysis checked. A Result built by hand
+// rather than by Check or Prepared.Result is prepared here, over its own
+// Access.
+func (r *Result) Prepared() (*Prepared, Mask, error) {
+	if r.prep != nil {
+		return r.prep, r.mask.Clone(), nil
 	}
-	classes := ra.NewClasses(all, spc.Preds)
-
-	sub := &Sub{
-		SPC:          spc,
-		Classes:      classes,
-		FDs:          &fd.Set{},
-		ConstClasses: classes.ConstClasses(),
-		XHat:         classes.Reps(spc.X),
-		IndexBy:      map[string]access.ActualConstraint{},
+	p, err := Prepare(r.Query, r.Schema, r.Access)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Induced FDs ΣQs,A: one per actualized constraint on an occurrence of
-	// this sub-query, unified via ρU.
-	for _, rel := range spc.Rels {
-		for _, ac := range act.ByRel[rel.Name] {
-			sub.FDs.Add(fd.FD{
-				L:   classes.Reps(ac.XAttrs(rel.Name)),
-				R:   classes.Reps(ac.YAttrs(rel.Name)),
-				Src: ac.Base.Key(),
-				N:   ac.N,
-			})
-		}
-	}
-
-	// Fetchable: ΣQs,A ⊨ X̂C → X̂Qs (Lemma 4), computed as the chase
-	// cov(Qs,A) = closure of the constant classes.
-	sub.Cov = sub.FDs.Closure(sub.ConstClasses)
-	sub.Missing = sub.FDs.Missing(sub.ConstClasses, sub.XHat)
-	sub.Fetchable = len(sub.Missing) == 0
-
-	// Indexed: each occurrence S needs a constraint S(X→Y,N) with
-	// S[X] ⊆ cov(Qs,A) and X^S_Qs ⊆ S[XY].
-	sub.Indexed = true
-	for _, rel := range spc.Rels {
-		need := spc.RelAttrs(rel.Name)
-		best, ok := chooseIndex(act.ByRel[rel.Name], rel.Name, need, classes, sub.Cov)
-		if !ok {
-			sub.Indexed = false
-			sub.NotIndexed = append(sub.NotIndexed, rel.Name)
-			continue
-		}
-		sub.IndexBy[rel.Name] = best
-	}
-	sort.Strings(sub.NotIndexed)
-	return sub, nil
-}
-
-// chooseIndex picks the indexing constraint with the smallest N among the
-// candidates that satisfy the indexed-by condition for occurrence rel.
-func chooseIndex(cands []access.ActualConstraint, rel string, need []ra.Attr,
-	classes *ra.Classes, cov *fd.Derived) (access.ActualConstraint, bool) {
-	var best access.ActualConstraint
-	found := false
-	for _, ac := range cands {
-		if !covers(ac, rel, need, classes, cov) {
-			continue
-		}
-		if !found || ac.N < best.N {
-			best = ac
-			found = true
-		}
-	}
-	return best, found
-}
-
-func covers(ac access.ActualConstraint, rel string, need []ra.Attr,
-	classes *ra.Classes, cov *fd.Derived) bool {
-	for _, x := range ac.XAttrs(rel) {
-		if !cov.In[classes.Rep(x)] {
-			return false
-		}
-	}
-	inXY := map[string]bool{}
-	for _, x := range ac.X {
-		inXY[x] = true
-	}
-	for _, y := range ac.Y {
-		inXY[y] = true
-	}
-	for _, a := range need {
-		if !inXY[a.Name] {
-			return false
-		}
-	}
-	return true
+	return p, p.Full(), nil
 }
 
 // CoveredAttrs returns cov(Qs,A) as a sorted list of class representatives.

@@ -6,7 +6,6 @@
 package hypergraph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
@@ -22,7 +21,7 @@ type Graph struct {
 	byLabel map[string]NodeID
 	Edges   []Edge
 	// out[v] lists edges having v in their head.
-	out map[NodeID][]int
+	out [][]int
 }
 
 // Edge is a hyperedge (Head, Tail) with a weight and an arbitrary payload
@@ -36,7 +35,7 @@ type Edge struct {
 
 // New returns an empty hypergraph.
 func New() *Graph {
-	return &Graph{byLabel: map[string]NodeID{}, out: map[NodeID][]int{}}
+	return &Graph{byLabel: map[string]NodeID{}}
 }
 
 // Node returns the node with the given label, creating it if needed.
@@ -44,9 +43,19 @@ func (g *Graph) Node(label string) NodeID {
 	if id, ok := g.byLabel[label]; ok {
 		return id
 	}
-	id := NodeID(len(g.labels))
-	g.labels = append(g.labels, label)
+	id := g.NewNode()
+	g.labels[id] = label
 	g.byLabel[label] = id
+	return id
+}
+
+// NewNode adds a node without a label: Lookup never finds it and Label
+// returns "". Callers that address nodes by id alone (the minimizers'
+// graphs over a prepared coverage check) build no label strings.
+func (g *Graph) NewNode() NodeID {
+	id := NodeID(len(g.labels))
+	g.labels = append(g.labels, "")
+	g.out = append(g.out, nil)
 	return id
 }
 
@@ -66,14 +75,34 @@ func (g *Graph) NumNodes() int { return len(g.labels) }
 func (g *Graph) AddEdge(head []NodeID, tail NodeID, weight int64, payload any) int {
 	idx := len(g.Edges)
 	g.Edges = append(g.Edges, Edge{Head: head, Tail: tail, Weight: weight, Payload: payload})
-	seen := map[NodeID]bool{}
-	for _, h := range head {
-		if !seen[h] {
-			seen[h] = true
+	for i, h := range head {
+		if !repeated(head, i) {
 			g.out[h] = append(g.out[h], idx)
 		}
 	}
 	return idx
+}
+
+// repeated reports whether head[i] already occurs in head[:i]. Heads are a
+// few nodes long, so the scan beats a set.
+func repeated(head []NodeID, i int) bool {
+	for _, h := range head[:i] {
+		if h == head[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// distinctHeads is the number of distinct nodes in head.
+func distinctHeads(head []NodeID) int {
+	n := 0
+	for i := range head {
+		if !repeated(head, i) {
+			n++
+		}
+	}
+	return n
 }
 
 // Size returns |H| = Σ_e |head(e)|, the hypergraph size measure of §5.2.
@@ -109,13 +138,7 @@ func (g *Graph) Derive(source NodeID) *Derivation {
 	}
 	need := make([]int, len(g.Edges))
 	for i, e := range g.Edges {
-		seen := map[NodeID]bool{}
-		for _, h := range e.Head {
-			if !seen[h] {
-				seen[h] = true
-				need[i]++
-			}
-		}
+		need[i] = distinctHeads(e.Head)
 	}
 	d.Reached[source] = true
 	queue := []NodeID{source}
@@ -194,20 +217,14 @@ func (g *Graph) ShortestHyperpaths(source NodeID) *Costs {
 	need := make([]int, len(g.Edges))
 	headCost := make([]int64, len(g.Edges))
 	for i, e := range g.Edges {
-		seen := map[NodeID]bool{}
-		for _, h := range e.Head {
-			if !seen[h] {
-				seen[h] = true
-				need[i]++
-			}
-		}
+		need[i] = distinctHeads(e.Head)
 	}
 
-	pq := &nodeHeap{}
-	heap.Push(pq, nodeDist{source, 0})
+	var pq nodeHeap
+	pq.push(nodeDist{source, 0})
 	done := make([]bool, len(g.labels))
-	for pq.Len() > 0 {
-		nd := heap.Pop(pq).(nodeDist)
+	for len(pq) > 0 {
+		nd := pq.pop()
 		v := nd.id
 		if done[v] || nd.d > c.Dist[v] {
 			continue
@@ -222,7 +239,7 @@ func (g *Graph) ShortestHyperpaths(source NodeID) *Costs {
 				if nd < c.Dist[e.Tail] {
 					c.Dist[e.Tail] = nd
 					c.Via[e.Tail] = ei
-					heap.Push(pq, nodeDist{e.Tail, nd})
+					pq.push(nodeDist{e.Tail, nd})
 				}
 			}
 		}
@@ -237,8 +254,8 @@ func (c *Costs) HyperpathEdges(g *Graph, target NodeID) ([]int, bool) {
 		return nil, false
 	}
 	var order []int
-	inOrder := map[int]bool{}
-	visited := map[NodeID]bool{}
+	inOrder := make([]bool, len(g.Edges))
+	visited := make([]bool, len(g.labels))
 	var visit func(NodeID)
 	visit = func(v NodeID) {
 		if visited[v] {
@@ -311,11 +328,45 @@ type nodeDist struct {
 	d  int64
 }
 
+// nodeHeap is a binary min-heap on d. push and pop are container/heap's
+// Push and Pop specialized to nodeDist, so no element is boxed; they move
+// elements exactly as container/heap does, which keeps the order of
+// equal-distance pops, and so the hyperpaths chosen, unchanged.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int              { return len(h) }
-func (h nodeHeap) Less(i, j int) bool    { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)         { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)           { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any             { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h nodeHeap) Peek() (NodeID, int64) { return h[0].id, h[0].d }
+func (h *nodeHeap) push(x nodeDist) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].d < q[j1].d {
+			j = j2
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	x := q[n]
+	*h = q[:n]
+	return x
+}

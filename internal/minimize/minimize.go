@@ -31,6 +31,20 @@ func DefaultOptions() Options { return Options{C1: 1, C2: 1} }
 // removable constraint of maximum weight until the remaining set is
 // minimal. The result always covers the query (Theorem 10(1)).
 func MinA(res *cover.Result, opts Options) (*access.Schema, error) {
+	m, err := Minimize(res, opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.Access, nil
+}
+
+// Minimize is MinA returning the coverage analysis of the minimized schema
+// (its Access) rather than the schema alone, so a caller that goes on to
+// plan generation need not check that schema again. Every trial subset is
+// checked through res's prepared query, as a mask over its access schema;
+// masks name constraints by position, so the schema must not repeat a key
+// (access.NewSchema never does).
+func Minimize(res *cover.Result, opts Options) (*cover.Result, error) {
 	if !res.Covered {
 		return nil, fmt.Errorf("minimize: query is not covered")
 	}
@@ -40,7 +54,10 @@ func MinA(res *cover.Result, opts Options) (*access.Schema, error) {
 	if opts.C2 == 0 {
 		opts.C2 = 1
 	}
-	cur := access.NewSchema(res.Access.Constraints...)
+	p, cur, err := res.Prepared()
+	if err != nil {
+		return nil, err
+	}
 	baseCov := coveredCount(res)
 
 	// Seeding: select the constraints on minimum-weight hyperpaths to the
@@ -49,51 +66,48 @@ func MinA(res *cover.Result, opts Options) (*access.Schema, error) {
 	// shrinks the quadratic greedy loop's candidate set and starts from
 	// cheap derivations — e.g. an N=6 chain is preferred over an N=304
 	// shortcut even before the greedy refinement. Coverage is re-verified;
-	// on failure we fall back to the full schema.
-	if seed, err := shortestPathSupport(res); err == nil && len(seed) < cur.Len() {
-		trial := cur.Subset(seed)
-		tr, err := cover.Check(res.Query, res.Schema, trial)
-		if err != nil {
-			return nil, err
-		}
-		if tr.Covered {
-			cur = trial
-			baseCov = coveredCount(tr)
+	// on failure we keep the full schema.
+	if seed, err := shortestPathSupport(p, cur); err == nil && seed.Count() < cur.Count() {
+		if covered, n := p.Covers(seed); covered {
+			cur, baseCov = seed, n
 		}
 	}
-	for {
-		type cand struct {
-			key    string
-			weight float64
+	cons := p.Access().Constraints
+	// keys holds the constraint keys of the tie-break, each built once.
+	var keys []string
+	key := func(i int) string {
+		if keys == nil {
+			keys = make([]string, len(cons))
 		}
-		var best *cand
-		var bestRes *cover.Result
-		var bestSchema *access.Schema
-		for _, c := range cur.Constraints {
-			trial := cur.Without(c.Key())
-			tr, err := cover.Check(res.Query, res.Schema, trial)
-			if err != nil {
-				return nil, err
-			}
-			if !tr.Covered {
+		if keys[i] == "" {
+			keys[i] = cons[i].Key()
+		}
+		return keys[i]
+	}
+	trial := cover.NewMask(len(cons))
+	for {
+		best, bestW, bestCov := -1, 0.0, 0
+		for i := range cons {
+			if !cur.Has(i) {
 				continue
 			}
-			loss := baseCov - coveredCount(tr)
-			if loss < 0 {
-				loss = 0
+			copy(trial, cur)
+			trial.Clear(i)
+			covered, n := p.Covers(trial)
+			if !covered {
+				continue
 			}
-			w := (opts.C1 * float64(c.N)) / (opts.C2 * float64(loss+1))
-			if best == nil || w > best.weight || (w == best.weight && c.Key() < best.key) {
-				best = &cand{key: c.Key(), weight: w}
-				bestRes = tr
-				bestSchema = trial
+			loss := max(baseCov-n, 0)
+			w := (opts.C1 * float64(cons[i].N)) / (opts.C2 * float64(loss+1))
+			if best < 0 || w > bestW || (w == bestW && key(i) < key(best)) {
+				best, bestW, bestCov = i, w, n
 			}
 		}
-		if best == nil {
-			return cur, nil
+		if best < 0 {
+			return p.Result(cur), nil
 		}
-		cur = bestSchema
-		baseCov = coveredCount(bestRes)
+		cur.Clear(best)
+		baseCov = bestCov
 	}
 }
 
@@ -109,14 +123,20 @@ func coveredCount(res *cover.Result) int {
 // IsMinimal verifies that removing any single constraint from Am breaks
 // coverage — the guarantee of Theorem 10(1).
 func IsMinimal(q ra.Query, s ra.Schema, Am *access.Schema) (bool, error) {
-	for _, c := range Am.Constraints {
-		tr, err := cover.Check(q, s, Am.Without(c.Key()))
-		if err != nil {
-			return false, err
-		}
-		if tr.Covered {
+	if Am.Len() == 0 {
+		return true, nil
+	}
+	p, err := cover.Prepare(q, s, Am)
+	if err != nil {
+		return false, err
+	}
+	trial := p.Full()
+	for i := range Am.Constraints {
+		trial.Clear(i)
+		if covered, _ := p.Covers(trial); covered {
 			return false, nil
 		}
+		trial.Set(i)
 	}
 	return true, nil
 }
@@ -201,70 +221,142 @@ func MinADAG(res *cover.Result) (*access.Schema, error) {
 	if !IsAcyclic(res) {
 		return nil, fmt.Errorf("minimize: instance is not acyclic")
 	}
-	keep, err := shortestPathSupport(res)
+	p, mask, err := res.Prepared()
 	if err != nil {
 		return nil, err
 	}
-	return finish(res, keep)
+	keep, err := shortestPathSupport(p, mask)
+	if err != nil {
+		return nil, err
+	}
+	return finish(res, p, keep)
 }
 
-// shortestPathSupport returns the keys of the constraints on minimum-weight
-// hyperpaths from r to every needed class, plus the chosen indexing
-// constraints and the hyperpaths covering their X sides. The Dijkstra-style
-// search is correct on the raw (possibly syntactically cyclic) hypergraph
-// as long as weights are non-negative, so no-op membership cycles need no
-// special casing; MinADAG gates on acyclicity only for its approximation
-// bound, while MinA uses this as a cost-aware seed on any instance.
-func shortestPathSupport(res *cover.Result) (map[string]bool, error) {
-	g, root := plan.Hypergraph(res)
+// shortestPathSupport returns the constraints (a mask over p's access
+// schema) on minimum-weight hyperpaths from r to every needed class, plus
+// the chosen indexing constraints and the hyperpaths covering their X
+// sides, on the ⟨Q,A⟩-hypergraph of the constraints in mask. The
+// Dijkstra-style search is correct on the raw (possibly syntactically
+// cyclic) hypergraph as long as weights are non-negative, so no-op
+// membership cycles need no special casing; MinADAG gates on acyclicity
+// only for its approximation bound, while MinA uses this as a cost-aware
+// seed on any instance.
+//
+// The graph is plan.Hypergraph's, built from the prepared query: the same
+// nodes in the same order and the same edges, so the same hyperpaths, but
+// addressed by class id instead of by label.
+func shortestPathSupport(p *cover.Prepared, mask cover.Mask) (cover.Mask, error) {
+	g := hypergraph.New()
+	root := g.NewNode()
+	subs := p.Subs()
+	// One array backs every edge's head, sized by a first pass.
+	nHeads := 0
+	for si := range subs {
+		nHeads += len(subs[si].Consts)
+		for _, f := range subs[si].FDs {
+			if mask.Has(f.Con) {
+				nHeads += max(len(f.L), 1) + len(f.R)
+			}
+		}
+	}
+	heads := make([]hypergraph.NodeID, 0, nHeads)
+	head := func(ids ...hypergraph.NodeID) []hypergraph.NodeID {
+		start := len(heads)
+		heads = append(heads, ids...)
+		return heads[start:len(heads):len(heads)]
+	}
+	edgeCon := make([]int, 0, nHeads) // per edge: the constraint of an FD edge, -1 otherwise
+	nodes := make([][]hypergraph.NodeID, len(subs))
+	for si := range subs {
+		ps := &subs[si]
+		node := make([]hypergraph.NodeID, len(ps.Reps))
+		for c := range node {
+			node[c] = -1
+		}
+		nodes[si] = node
+		nodeOf := func(c int32) hypergraph.NodeID {
+			if node[c] < 0 {
+				node[c] = g.NewNode()
+			}
+			return node[c]
+		}
+		// Constant classes: hyperedges from r.
+		for _, c := range ps.Consts {
+			g.AddEdge(head(root), nodeOf(c), 0, nil)
+			edgeCon = append(edgeCon, -1)
+		}
+		// Induced FDs: X → Y~ weighted N, then Y~ → Yi weighted 0.
+		for _, f := range ps.FDs {
+			if !mask.Has(f.Con) {
+				continue
+			}
+			y := g.NewNode()
+			start := len(heads)
+			if len(f.L) == 0 {
+				heads = append(heads, root)
+			}
+			for _, l := range f.L {
+				heads = append(heads, nodeOf(l))
+			}
+			g.AddEdge(heads[start:len(heads):len(heads)], y, int64(f.N), nil)
+			edgeCon = append(edgeCon, f.Con)
+			for _, r := range f.R {
+				g.AddEdge(head(y), nodeOf(r), 0, nil)
+				edgeCon = append(edgeCon, -1)
+			}
+		}
+	}
 	costs := g.ShortestHyperpaths(root)
-	keep := map[string]bool{}
+	keep := cover.NewMask(p.Len())
 
-	addPath := func(target hypergraph.NodeID) error {
-		edges, ok := costs.HyperpathEdges(g, target)
+	// addPath keeps the constraints on the hyperpath to class c of
+	// sub-query si.
+	addPath := func(si int, c int32) error {
+		ps := &subs[si]
+		if nodes[si][c] < 0 {
+			return fmt.Errorf("minimize: no node for class %s", ps.Reps[c])
+		}
+		edges, ok := costs.HyperpathEdges(g, nodes[si][c])
 		if !ok {
-			return fmt.Errorf("minimize: no hyperpath to %s", g.Label(target))
+			return fmt.Errorf("minimize: no hyperpath to class %s", ps.Reps[c])
 		}
 		for _, ei := range edges {
-			if f, isFD := g.Edges[ei].Payload.(plan.FDEdge); isFD {
-				keep[f.AC.Base.Key()] = true
+			if edgeCon[ei] >= 0 {
+				keep.Set(edgeCon[ei])
 			}
 		}
 		return nil
 	}
 
-	for si, sub := range res.Subs {
-		// Targets: needed non-constant classes.
-		constSet := map[ra.Attr]bool{}
-		for _, c := range sub.ConstClasses {
-			constSet[c] = true
+	index := p.IndexChoice(mask)
+	for si := range subs {
+		ps := &subs[si]
+		isConst := make([]bool, len(ps.Reps))
+		for _, c := range ps.Consts {
+			isConst[c] = true
 		}
-		for _, rep := range sub.XHat {
-			if constSet[rep] {
+		// Targets: needed non-constant classes.
+		for _, c := range ps.XHat {
+			if isConst[c] {
 				continue
 			}
-			node, ok := g.Lookup(plan.ClassLabel(si, rep))
-			if !ok {
-				return nil, fmt.Errorf("minimize: no node for class %s", rep)
-			}
-			if err := addPath(node); err != nil {
+			if err := addPath(si, c); err != nil {
 				return nil, err
 			}
 		}
 		// Indexing constraints: the chosen minimum-N index per occurrence,
 		// plus hyperpaths making their X sides covered.
-		for rel, ac := range sub.IndexBy {
-			keep[ac.Base.Key()] = true
-			for _, x := range ac.XAttrs(rel) {
-				rep := sub.Classes.Rep(x)
-				if constSet[rep] {
+		for _, k := range index[si] {
+			if k < 0 {
+				continue
+			}
+			f := &ps.FDs[k]
+			keep.Set(f.Con)
+			for _, c := range f.L {
+				if isConst[c] {
 					continue
 				}
-				node, ok := g.Lookup(plan.ClassLabel(si, rep))
-				if !ok {
-					return nil, fmt.Errorf("minimize: no node for class %s", rep)
-				}
-				if err := addPath(node); err != nil {
+				if err := addPath(si, c); err != nil {
 					return nil, err
 				}
 			}
@@ -280,6 +372,26 @@ func shortestPathSupport(res *cover.Result) (map[string]bool, error) {
 // al.; see DESIGN.md). It returns an error when the instance is not
 // elementary.
 func MinAE(res *cover.Result) (*access.Schema, error) {
+	keep, err := steinerSupport(res)
+	if err != nil {
+		return nil, err
+	}
+	p, mask, err := res.Prepared()
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range p.Access().Constraints {
+		if mask.Has(i) && !keep[c.Key()] {
+			mask.Clear(i)
+		}
+	}
+	return finish(res, p, mask)
+}
+
+// steinerSupport returns the keys of the constraints MinAE keeps: the
+// chosen indexing constraints and the FD edges of the Steiner arborescence
+// reaching every terminal.
+func steinerSupport(res *cover.Result) (map[string]bool, error) {
 	if !res.Covered {
 		return nil, fmt.Errorf("minimize: query is not covered")
 	}
@@ -333,7 +445,7 @@ func MinAE(res *cover.Result) (*access.Schema, error) {
 			keep[f.AC.Base.Key()] = true
 		}
 	}
-	return finish(res, keep)
+	return keep, nil
 }
 
 // steinerArborescence greedily grows a tree from root: repeatedly attach
@@ -387,18 +499,14 @@ func steinerArborescence(g *hypergraph.Graph, root hypergraph.NodeID, terminals 
 	return out, nil
 }
 
-// finish turns the kept constraint keys into a schema and verifies
-// coverage, falling back to the full schema's greedy minimization if the
-// specialized algorithm under-selected (cannot happen on well-formed
-// instances, but we never return a non-covering set).
-func finish(res *cover.Result, keep map[string]bool) (*access.Schema, error) {
-	Am := res.Access.Subset(keep)
-	check, err := cover.Check(res.Query, res.Schema, Am)
-	if err != nil {
-		return nil, err
-	}
-	if check.Covered {
-		return Am, nil
+// finish verifies that the kept constraints (a subset of res's) still
+// cover the query and returns them as a schema, falling back to the full
+// schema's greedy minimization if the specialized algorithm under-selected
+// (cannot happen on well-formed instances, but we never return a
+// non-covering set).
+func finish(res *cover.Result, p *cover.Prepared, keep cover.Mask) (*access.Schema, error) {
+	if covered, _ := p.Covers(keep); covered {
+		return p.Subset(keep), nil
 	}
 	return MinA(res, DefaultOptions())
 }

@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/access"
 	"repro/internal/cover"
@@ -92,7 +94,12 @@ func Hypergraph(res *cover.Result) (*hypergraph.Graph, hypergraph.NodeID) {
 // ClassLabel names the hypergraph node / plan column of a class
 // representative within sub-query si.
 func ClassLabel(si int, rep ra.Attr) string {
-	return fmt.Sprintf("s%d.%s.%s", si, rep.Rel, rep.Name)
+	return "s" + strconv.Itoa(si) + "." + rep.Rel + "." + rep.Name
+}
+
+// yLabel names the Y~ node of actualized constraint ac within sub-query si.
+func yLabel(si int, ac access.ActualConstraint) string {
+	return "s" + strconv.Itoa(si) + "~" + ac.Key()
 }
 
 func (b *builder) buildHypergraph() {
@@ -112,7 +119,7 @@ func (b *builder) buildHypergraph() {
 			for _, ac := range b.res.Act.ByRel[rel.Name] {
 				lReps := sub.Classes.Reps(ac.XAttrs(rel.Name))
 				rReps := sub.Classes.Reps(ac.YAttrs(rel.Name))
-				yNode := g.Node(fmt.Sprintf("s%d~%s", si, ac.Key()))
+				yNode := g.Node(yLabel(si, ac))
 				head := make([]hypergraph.NodeID, 0, len(lReps))
 				if len(lReps) == 0 {
 					head = append(head, b.root)
@@ -183,7 +190,7 @@ func (b *builder) unitPlan(node hypergraph.NodeID) (int, error) {
 // fetchStep emits the product-of-heads + fetch for an induced FD edge,
 // producing a table over the classes of X ∪ Y of the constraint.
 func (b *builder) fetchStep(p FDEdge) (int, error) {
-	memoKey := fmt.Sprintf("f|%d|%s|%s", p.Sub, p.Occ, p.AC.Key())
+	memoKey := "f|" + strconv.Itoa(p.Sub) + "|" + p.Occ + "|" + p.AC.Key()
 	if id, ok := b.fetchMemo[memoKey]; ok {
 		return id, nil
 	}
@@ -243,10 +250,16 @@ func (b *builder) fetchStep(p FDEdge) (int, error) {
 // productOfClasses produces a step whose columns are the unit plans of the
 // given class representatives (one column per class).
 func (b *builder) productOfClasses(si int, reps []ra.Attr) (int, error) {
-	memoKey := fmt.Sprintf("p|%d", si)
+	var sb strings.Builder
+	sb.WriteString("p|")
+	sb.WriteString(strconv.Itoa(si))
 	for _, r := range reps {
-		memoKey += "|" + r.String()
+		sb.WriteByte('|')
+		sb.WriteString(r.Rel)
+		sb.WriteByte('.')
+		sb.WriteString(r.Name)
 	}
+	memoKey := sb.String()
 	if id, ok := b.prodMemo[memoKey]; ok {
 		return id, nil
 	}
