@@ -17,8 +17,7 @@ import (
 // a flight id; %[2]d a cause of that flight's delaycause row, or a second
 // flight id. budget is the allocations a cold Execute of the shape may
 // make: the value measured when the compile was last cut (564, 800, 757,
-// 882 and 924 at AIRCA 0.05), plus about 10%. The compile before the
-// prepared check made 1414 to 2350.
+// 882 and 924 at AIRCA 0.05), plus about 10%.
 var adhocShapes = []struct {
 	name, text string
 	budget     float64

@@ -10,23 +10,20 @@ import (
 	"repro/internal/ra"
 )
 
-// The minimizers as they were before trial subsets became masks over a
-// prepared query: every trial is an access.Schema copy checked from
-// scratch, and the hyperpath seed searches plan.Hypergraph by label. They
-// are the test oracle Minimize, MinADAG, MinAE and IsMinimal are held to.
-// Each check goes through oracle.check, so a test can record every schema
-// the oracle tries.
+// oracle holds the minimizers as they were before trial subsets became
+// masks over a prepared query: every trial is an access.Schema copy
+// checked from scratch, and the hyperpath seed searches plan.Hypergraph by
+// label. They are the test oracle Minimize, MinADAG, MinAE and IsMinimal
+// are held to. visit, when set, sees every schema the oracle checks.
 type oracle struct {
-	check func(q ra.Query, s ra.Schema, A *access.Schema) (*cover.Result, error)
+	visit func(*access.Schema)
 }
 
-func newOracle(visit func(*access.Schema)) *oracle {
-	return &oracle{check: func(q ra.Query, s ra.Schema, A *access.Schema) (*cover.Result, error) {
-		if visit != nil {
-			visit(A)
-		}
-		return cover.Check(q, s, A)
-	}}
+func (o *oracle) check(q ra.Query, s ra.Schema, A *access.Schema) (*cover.Result, error) {
+	if o.visit != nil {
+		o.visit(A)
+	}
+	return cover.Check(q, s, A)
 }
 
 // MinA is the greedy minA.

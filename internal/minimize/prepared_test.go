@@ -168,7 +168,7 @@ func TestMinimizersMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		var visited []*access.Schema
-		o := newOracle(func(A *access.Schema) { visited = append(visited, A) })
+		o := &oracle{visit: func(A *access.Schema) { visited = append(visited, A) }}
 		want, werr := o.MinA(res, DefaultOptions())
 		got, gerr := Minimize(res, DefaultOptions())
 		var gotA *access.Schema
